@@ -4,9 +4,17 @@ type t = {
   id : int;
   value : T.t;
   mutable grad : T.t option; (* allocated lazily on first contribution *)
-  parents : (t * (T.t -> T.t)) list;
+  back : back;
   requires : bool;
 }
+
+(* How a node hands its gradient to its parents: leaves have none;
+   combinator nodes carry one closure per parent edge; a custom node
+   carries one closure returning every parent's gradient at once. *)
+and back =
+  | Leaf
+  | Edges of (t * (T.t -> T.t)) list
+  | Custom of t array * (T.t -> T.t option array)
 
 let counter = ref 0
 
@@ -81,18 +89,24 @@ let with_no_grad f =
   no_grad := true;
   Fun.protect ~finally:(fun () -> no_grad := saved) f
 
-let mk ?(requires = true) value parents =
-  if !no_grad then
-    { id = next_id (); value; grad = None; parents = []; requires = false }
+let leaf ~requires value = { id = next_id (); value; grad = None; back = Leaf; requires }
+
+let record ~requires value back =
+  if !no_grad then leaf ~requires:false value
   else begin
-    let requires = requires && List.exists (fun (p, _) -> p.requires) parents in
-    let v = { id = next_id (); value; grad = None; parents; requires } in
+    let v = { id = next_id (); value; grad = None; back; requires } in
     Tape.push v;
     v
   end
 
-let param value = { id = next_id (); value; grad = None; parents = []; requires = true }
-let const value = { id = next_id (); value; grad = None; parents = []; requires = false }
+let mk value parents =
+  record ~requires:(List.exists (fun (p, _) -> p.requires) parents) value (Edges parents)
+
+let custom value parents backward =
+  record ~requires:(Array.exists (fun p -> p.requires) parents) value (Custom (parents, backward))
+
+let param value = leaf ~requires:true value
+let const value = leaf ~requires:false value
 let scalar x = const (T.scalar x)
 let zero_grad v = v.grad <- None
 
@@ -131,35 +145,6 @@ let div a b =
 
 let add_rv m rv =
   mk (T.add_rv m.value rv.value) [ (m, Fun.id); (rv, T.sum_rows) ]
-
-let sub_rv m rv =
-  mk (T.add_rv m.value (T.neg rv.value))
-    [ (m, Fun.id); (rv, fun g -> T.neg (T.sum_rows g)) ]
-
-let mul_rv m rv =
-  mk (T.mul_rv m.value rv.value)
-    [ (m, fun g -> T.mul_rv g rv.value);
-      (rv, fun g -> T.sum_rows (T.mul g m.value)) ]
-
-let div_rv m rv =
-  let inv = T.map (fun x -> 1. /. x) rv.value in
-  let y = T.mul_rv m.value inv in
-  mk y
-    [ (m, fun g -> T.mul_rv g inv);
-      (rv, fun g -> T.neg (T.sum_rows (T.mul_rv (T.mul g y) inv))) ]
-
-(* Fused state update for the filter recurrences: out = s.a + x.b with
-   s, x of shape [batch x n] and a, b row vectors. One node instead of
-   three keeps the 64-step unrolled graphs small. *)
-let affine_rv s a x b =
-  let out = T.add (T.mul_rv s.value a.value) (T.mul_rv x.value b.value) in
-  mk out
-    [
-      (s, fun g -> T.mul_rv g a.value);
-      (a, fun g -> T.sum_rows (T.mul g s.value));
-      (x, fun g -> T.mul_rv g b.value);
-      (b, fun g -> T.sum_rows (T.mul g x.value));
-    ]
 
 (* Unary ---------------------------------------------------------------- *)
 
@@ -243,12 +228,18 @@ let concat_cols vs =
 
 (* Backward ------------------------------------------------------------- *)
 
+let parents v =
+  match v.back with
+  | Leaf -> []
+  | Edges es -> List.map fst es
+  | Custom (ps, _) -> Array.to_list ps
+
 let reachable root =
   let seen = Hashtbl.create 64 in
   let rec go v =
     if not (Hashtbl.mem seen v.id) then begin
       Hashtbl.add seen v.id v;
-      List.iter (fun (p, _) -> go p) v.parents
+      List.iter go (parents v)
     end
   in
   go root;
@@ -263,7 +254,12 @@ let backward root =
      accumulates into. Counting them lets the walk stop as soon as all
      pending gradients have drained, instead of scanning the stale
      region of long-dead graphs below the current one. *)
-  let pending = ref (if root.parents = [] then 0 else 1) in
+  let interior p = match p.back with Leaf -> false | Edges _ | Custom _ -> true in
+  let pending = ref (if interior root then 1 else 0) in
+  let contribute p g =
+    if p.grad = None && interior p then incr pending;
+    accumulate p g
+  in
   let a = !Tape.arr in
   let i = ref (!Tape.len - 1) in
   while !pending > 0 && !i >= 0 do
@@ -273,14 +269,18 @@ let backward root =
         | None -> ()
         | Some g ->
             decr pending;
-            if v.requires then
-              List.iter
-                (fun (p, back) ->
-                  if p.requires then begin
-                    if p.grad = None && p.parents <> [] then incr pending;
-                    accumulate p (back g)
-                  end)
-                v.parents;
+            (if v.requires then
+               match v.back with
+               | Leaf -> ()
+               | Edges es -> List.iter (fun (p, back) -> if p.requires then contribute p (back g)) es
+               | Custom (ps, back) ->
+                   let gs = back g in
+                   Array.iteri
+                     (fun j p ->
+                       match gs.(j) with
+                       | Some gp when p.requires -> contribute p gp
+                       | _ -> ())
+                     ps);
             (* Interior node gradients are only needed during
                propagation; release them so repeated forward/backward
                passes do not retain the DAG. *)

@@ -1,17 +1,21 @@
 (** Reverse-mode automatic differentiation over {!Pnc_tensor.Tensor}.
 
-    A {!t} is a node of a dynamically built computation DAG. Operations
-    record, for each parent, a closure mapping the output gradient to
-    that parent's gradient contribution. {!backward} seeds the output
-    with ones and propagates in reverse creation order (node ids grow
-    monotonically, so decreasing id is a valid reverse topological
-    order for any DAG built by these combinators).
+    A {!t} is a node of a dynamically built computation DAG. The
+    combinators record, for each parent, a closure mapping the output
+    gradient to that parent's gradient contribution; a {!custom} node
+    records one closure returning every parent's gradient at once.
+    {!backward} seeds the output with ones and propagates in reverse
+    creation order (node ids grow monotonically, so decreasing id is a
+    valid reverse topological order for any DAG built by these
+    constructors).
 
     The engine is the PyTorch-autograd substitute used to train every
-    model in the paper: the printed crossbar surrogate, the learnable
-    filters (first- and second-order), the printed tanh activation and
-    the Elman RNN reference. Gradients are property-tested against
-    central finite differences in [test/test_autodiff.ml]. *)
+    model in the paper. The printed circuits train through one custom
+    node per (pTPB layer, Monte-Carlo draw) with a hand-written adjoint
+    ([Network], see DESIGN.md); their variation realization and loss,
+    and the Elman RNN reference, use the combinators. Gradients are
+    property-tested against central finite differences in
+    [test/test_autodiff.ml]. *)
 
 type t
 
@@ -28,11 +32,12 @@ val requires_grad : t -> bool
 
 (** {1 No-grad mode}
 
-    Under {!with_no_grad}, every operation returns a constant-like node
-    — no parents recorded, nothing pushed on the tape, [requires_grad]
-    false — so evaluation-only code retains no graph. The pure-tensor
-    fast paths in [lib/core] avoid [Var] entirely; this mode is the
-    safety net for code still routed through the combinators. *)
+    Under {!with_no_grad}, every operation (and {!custom}) returns a
+    constant-like node — no parents recorded, nothing pushed on the
+    tape, [requires_grad] false — so evaluation-only code retains no
+    graph. The evaluation paths in [lib/core] run on plain tensors and
+    never build [Var] nodes; this mode only matters to callers that run
+    a training forward for its value. *)
 
 val no_grad : bool ref
 val with_no_grad : (unit -> 'a) -> 'a
@@ -77,14 +82,6 @@ val ste_mul : t -> Pnc_tensor.Tensor.t -> t
 (** {1 Row-vector broadcast: [m x n] op [1 x n]} *)
 
 val add_rv : t -> t -> t
-val sub_rv : t -> t -> t
-val mul_rv : t -> t -> t
-val div_rv : t -> t -> t
-
-val affine_rv : t -> t -> t -> t -> t
-(** [affine_rv s a x b] = [s ∘ a + x ∘ b] with [s], [x] matrices and
-    [a], [b] row vectors — the fused filter state update
-    [V(k) = a·V(k−1) + b·V_in(k)] unrolled 64 times per channel. *)
 
 (** {1 Unary} *)
 
@@ -121,6 +118,22 @@ val sum_rows : t -> t
 
 val concat_cols : t list -> t
 (** Horizontal concatenation of matrices with equal row counts. *)
+
+(** {1 Custom nodes} *)
+
+val custom :
+  Pnc_tensor.Tensor.t -> t array -> (Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t option array) -> t
+(** [custom value parents backward] records one node whose adjoint is
+    hand-written: [backward g] receives the node's accumulated gradient
+    [g] (same shape as [value]) and returns one entry per parent, in
+    [parents] order — [Some] that parent's gradient contribution, or
+    [None] for no contribution. It may consult {!requires_grad} to skip
+    work for parents that need no gradient (their entries are ignored
+    anyway). Contributions are accumulated like any other edge's (the
+    first copied, later ones added), so they may be views of the
+    callback's own buffers. [backward] runs at most once per
+    {!backward} pass that reaches the node, in the tape's reverse
+    creation order like every other node. *)
 
 (** {1 Backward pass} *)
 

@@ -36,12 +36,15 @@ let sample_eps ~draw cb =
    step. *)
 type realization = { theta_eff : Var.t; bias_num : Var.t; denominator : Var.t }
 
-let realize_const ?(ste = false) ~theta_eps ~bias_eps cb =
-  (* [ste] swaps the variation fold for the straight-through estimator:
-     forward values are bit-identical, only the backward rule changes
-     (noise-injection training sees the perturbed crossbar but updates
-     the clean conductances). *)
-  let fold v eps = if ste then Var.ste_mul v eps else Var.mul v (Var.const eps) in
+let realize ~draw cb =
+  let theta_eps, bias_eps = sample_eps ~draw cb in
+  (* A [ste] draw swaps the variation fold for the straight-through
+     estimator: forward values are bit-identical, only the backward
+     rule changes (noise-injection training sees the perturbed crossbar
+     but updates the clean conductances). *)
+  let fold v eps =
+    if draw.Variation.ste then Var.ste_mul v eps else Var.mul v (Var.const eps)
+  in
   let theta_eff = fold cb.theta theta_eps in
   let bias_eff = fold cb.theta_b bias_eps in
   {
@@ -51,21 +54,11 @@ let realize_const ?(ste = false) ~theta_eps ~bias_eps cb =
       Var.add_scalar g_dummy (Var.add (Var.sum_rows (Var.abs theta_eff)) (Var.abs bias_eff));
   }
 
-let realize ~draw cb =
-  let theta_eps, bias_eps = sample_eps ~draw cb in
-  realize_const ~ste:draw.Variation.ste ~theta_eps ~bias_eps cb
-
-let apply real x =
-  Var.div_rv (Var.add_rv (Var.matmul x real.theta_eff) real.bias_num) real.denominator
-
-let forward_const ~theta_eps ~bias_eps cb x = apply (realize_const ~theta_eps ~bias_eps cb) x
-let forward ~draw cb x = apply (realize ~draw cb) x
-
 (* Pure-tensor realization for the no-grad evaluation path. Applies the
-   exact floating-point operation sequence of [realize]/[apply] on raw
-   tensors (the normalization divides by multiplying with a precomputed
-   reciprocal, as [Var.div_rv] does), so logits are bit-identical to the
-   Var path under the same draw. *)
+   exact floating-point operation sequence of [realize] on raw tensors,
+   and the normalization divides by multiplying with a precomputed
+   reciprocal, as the training node does, so logits are bit-identical
+   to the Var path under the same draw. *)
 type realization_t = { theta_eff_t : T.t; bias_num_t : T.t; inv_den_t : T.t }
 
 let realize_t ~draw cb =

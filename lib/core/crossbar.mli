@@ -25,16 +25,20 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 (** Stable checkpoint path names ([theta], [theta_b]); same order as
     {!params}. *)
 
-val forward : draw:Variation.draw -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-(** Map a [batch x inputs] node to [batch x outputs]. A fresh ε sample
-    is taken from [draw] per call (per Monte-Carlo sample). *)
-
-type realization
+type realization = {
+  theta_eff : Pnc_autodiff.Var.t;  (** θ ⊙ ε, [inputs x outputs] *)
+  bias_num : Pnc_autodiff.Var.t;  (** V_b·θ_b ⊙ ε, [1 x outputs] *)
+  denominator : Pnc_autodiff.Var.t;  (** Σᵢ |θᵢ| + |θ_b| + g_d, [1 x outputs] *)
+}
 (** One physical instance of the crossbar: effective conductances with
-    ε folded in, shared across all time steps of a sequence. *)
+    ε folded in (or the straight-through fold when the draw is marked
+    [ste]), shared across all time steps of a sequence. A time step
+    maps [x] to [(x·theta_eff + bias_num) / denominator]; {!Network}
+    runs that per-step map, with its adjoint, inside its fused layer
+    node. *)
 
 val realize : draw:Variation.draw -> t -> realization
-val apply : realization -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
+(** Takes a fresh ε sample from [draw]: theta first, then the bias. *)
 
 type realization_t
 (** Pure-tensor realization for the no-grad evaluation path; consumes
@@ -58,15 +62,6 @@ val kernel_t :
     tensors backing {!apply_t_into}, exposed so {!Network} can fuse the
     bias-plus-normalization step into its single-pass layer kernel.
     Read-only views; mutating them voids the parity guarantees. *)
-
-val forward_const :
-  theta_eps:Pnc_tensor.Tensor.t ->
-  bias_eps:Pnc_tensor.Tensor.t ->
-  t ->
-  Pnc_autodiff.Var.t ->
-  Pnc_autodiff.Var.t
-(** Forward with explicit ε factors (used to share one component draw
-    across all time steps of a sequence). *)
 
 val sample_eps : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
 (** One joint ε sample (theta, bias) matching this crossbar's shape. *)

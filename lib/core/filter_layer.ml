@@ -64,27 +64,6 @@ let realize ~draw f =
   in
   { stage_reals = Array.map realize_stage f.stages }
 
-type state = Var.t array (* one [batch x features] node per stage *)
-
-let init_state real ~batch =
-  Array.map
-    (fun sr ->
-      Var.const (T.init ~rows:batch ~cols:(T.cols sr.v0) (fun _ c -> T.get sr.v0 0 c)))
-    real.stage_reals
-
-let step real (st : state) x =
-  let x_in = ref x in
-  let st' =
-    Array.mapi
-      (fun i s ->
-        let sr = real.stage_reals.(i) in
-        let s' = Var.affine_rv s sr.a !x_in sr.b in
-        x_in := s';
-        s')
-      st
-  in
-  (st', !x_in)
-
 (* Pure-tensor realization for the no-grad evaluation path: same
    sampling order and floating-point operation sequence as [realize],
    on raw tensors. *)

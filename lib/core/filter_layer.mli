@@ -10,7 +10,7 @@
       V[k] = a · V[k−1] + b · V_in[k],
       a = RC / (µRC + Δt), b = Δt / (µRC + Δt)     (Eq. 10–11)
 
-    is unrolled through the autodiff engine. The coupling factor µ and
+    is unrolled over the sequence. The coupling factor µ and
     the initial voltage V₀ are non-trainable random variables sampled
     per {!Variation.draw}; component variation multiplies R and C by
     ε factors. *)
@@ -30,21 +30,23 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 
 (** {1 Per-forward-pass realization}
 
-    One physical sample of the filter bank: coefficient nodes with ε
-    and µ folded in, plus the sampled initial voltages. Realize once
-    per forward pass, then step through the sequence. *)
+    One physical sample of the filter bank: coefficient nodes with ε,
+    drift and µ folded in, plus the sampled initial voltages. Realize
+    once per forward pass; {!Network} steps the bank through the
+    sequence, with its adjoint, inside its fused layer node. *)
 
-type realization
+type stage_real = {
+  a : Pnc_autodiff.Var.t;  (** [1 x features]: RC / (µRC + Δt) *)
+  b : Pnc_autodiff.Var.t;  (** [1 x features]: Δt / (µRC + Δt) *)
+  v0 : Pnc_tensor.Tensor.t;  (** [1 x features] sampled initial voltages *)
+}
+(** One stage: [V[k] = V[k−1] ∘ a + V_in[k] ∘ b], starting from [v0]
+    in every batch row. *)
+
+type realization = { stage_reals : stage_real array }
+(** One entry per stage, input side first. *)
 
 val realize : draw:Variation.draw -> t -> realization
-
-type state
-
-val init_state : realization -> batch:int -> state
-
-val step : realization -> state -> Pnc_autodiff.Var.t -> state * Pnc_autodiff.Var.t
-(** Advance the filter bank by one time step: input and output are
-    [batch x features] nodes. *)
 
 (** {1 Pure-tensor realization (no-grad evaluation path)}
 

@@ -55,17 +55,153 @@ let named_params net =
 let n_params net =
   List.fold_left (fun acc v -> acc + T.numel (Var.value v)) 0 (params net)
 
+(* The layer kernel ---------------------------------------------------------
+
+   One pTPB layer is a crossbar, a filter bank and a printable tanh.
+   After the crossbar matmul everything is elementwise over a
+   [batch x features] block with no cross-element reduction, so one
+   pass applies bias + normalization, the RC stage update(s) and the
+   activation. The evaluation engine and the training node below run
+   this same pass, so their forwards agree bit for bit. *)
+
+(* Raw coefficient views of one realized layer, extracted once per
+   draw so the per-time-step loops touch plain tensors only. *)
+type layer_kernel = {
+  k_theta : T.t;
+  k_bias : T.t;
+  k_inv : T.t;
+  k_stages : (T.t * T.t) array;
+  k_e1 : T.t;
+  k_e2 : T.t;
+  k_e3 : T.t;
+  k_e4 : T.t;
+}
+
+(* Activation pass over one row whose [th] elements already hold the
+   scaled pre-activations: tanh in place, then [out = th·η₂ + η₁]. Two
+   entry points for the transcendental — `Fast runs
+   [Fast_math.apply_range] (one unboxed in-module loop; a per-element
+   cross-module call would box both floats without flambda and cost
+   more than the polynomial saves), `Exact the direct unboxed
+   [Stdlib.tanh] extern. [th] may be [out]. *)
+let activation_row ~fast (thd : T.buffer) ~tho (od : T.buffer) ~oo ~cols (e2 : T.buffer) eo2
+    (e1 : T.buffer) eo1 =
+  let module BA = Bigarray.Array1 in
+  if fast then Pnc_tensor.Fast_math.apply_range thd ~off:tho ~len:cols
+  else
+    for c = 0 to cols - 1 do
+      BA.unsafe_set thd (tho + c) (Stdlib.tanh (BA.unsafe_get thd (tho + c)))
+    done;
+  for c = 0 to cols - 1 do
+    BA.unsafe_set od (oo + c)
+      ((BA.unsafe_get thd (tho + c) *. BA.unsafe_get e2 (eo2 + c))
+      +. BA.unsafe_get e1 (eo1 + c))
+  done
+
+(* One time step of the layer over a block of rows, after the crossbar
+   matmul [mm]. [prev.(i)] holds stage i's voltages before the step
+   and [cur.(i)] receives them after; [th] receives the tanh values and
+   [out] the layer output. The evaluation engine passes [prev == cur]
+   (each element is read before it is written) and [th == out]; the
+   training node passes row views of its saved sequences. Specialized
+   for the two printable filter orders. Unchecked accesses are covered
+   by the shape asserts plus the tensor view invariant.
+
+   [~fast] selects the activation implementation: [false] is
+   [Stdlib.tanh], [true] is [Fast_math.tanh] (≤1e-7 absolute tanh
+   error; see docs/BATCHING.md). Nothing else in the element sequence
+   changes between the tiers. *)
+let layer_rows ~fast k ~mm ~prev ~cur ~th ~out =
+  let module BA = Bigarray.Array1 in
+  let rows = T.rows mm and cols = T.cols mm in
+  assert (T.same_shape th mm && T.same_shape out mm);
+  assert (T.cols k.k_bias = cols && T.cols k.k_inv = cols && T.cols k.k_e1 = cols);
+  assert (T.cols k.k_e2 = cols && T.cols k.k_e3 = cols && T.cols k.k_e4 = cols);
+  Array.iter (fun s -> assert (T.same_shape s mm)) prev;
+  Array.iter (fun s -> assert (T.same_shape s mm)) cur;
+  Array.iter (fun (a, b) -> assert (T.cols a = cols && T.cols b = cols)) k.k_stages;
+  let md = mm.T.data and thd = th.T.data and od = out.T.data in
+  let bd = k.k_bias.T.data and bo = k.k_bias.T.off in
+  let id = k.k_inv.T.data and io = k.k_inv.T.off in
+  let e1 = k.k_e1.T.data and eo1 = k.k_e1.T.off in
+  let e2 = k.k_e2.T.data and eo2 = k.k_e2.T.off in
+  let e3 = k.k_e3.T.data and eo3 = k.k_e3.T.off in
+  let e4 = k.k_e4.T.data and eo4 = k.k_e4.T.off in
+  match (prev, cur, k.k_stages) with
+  | [| p1; p2 |], [| s1; s2 |], [| (a1, b1); (a2, b2) |] ->
+      let p1d = p1.T.data and p2d = p2.T.data and s1d = s1.T.data and s2d = s2.T.data in
+      let a1d = a1.T.data and a1o = a1.T.off in
+      let b1d = b1.T.data and b1o = b1.T.off in
+      let a2d = a2.T.data and a2o = a2.T.off in
+      let b2d = b2.T.data and b2o = b2.T.off in
+      for r = 0 to rows - 1 do
+        let mo = mm.T.off + (r * cols)
+        and tho = th.T.off + (r * cols)
+        and oo = out.T.off + (r * cols)
+        and p1o = p1.T.off + (r * cols)
+        and p2o = p2.T.off + (r * cols)
+        and s1o = s1.T.off + (r * cols)
+        and s2o = s2.T.off + (r * cols) in
+        for c = 0 to cols - 1 do
+          let v =
+            (BA.unsafe_get md (mo + c) +. BA.unsafe_get bd (bo + c))
+            *. BA.unsafe_get id (io + c)
+          in
+          let s1v =
+            (BA.unsafe_get p1d (p1o + c) *. BA.unsafe_get a1d (a1o + c))
+            +. (v *. BA.unsafe_get b1d (b1o + c))
+          in
+          BA.unsafe_set s1d (s1o + c) s1v;
+          let s2v =
+            (BA.unsafe_get p2d (p2o + c) *. BA.unsafe_get a2d (a2o + c))
+            +. (s1v *. BA.unsafe_get b2d (b2o + c))
+          in
+          BA.unsafe_set s2d (s2o + c) s2v;
+          BA.unsafe_set thd (tho + c)
+            ((s2v +. -.BA.unsafe_get e3 (eo3 + c)) *. BA.unsafe_get e4 (eo4 + c))
+        done;
+        activation_row ~fast thd ~tho od ~oo ~cols e2 eo2 e1 eo1
+      done
+  | [| p1 |], [| s1 |], [| (a1, b1) |] ->
+      let p1d = p1.T.data and s1d = s1.T.data in
+      let a1d = a1.T.data and a1o = a1.T.off in
+      let b1d = b1.T.data and b1o = b1.T.off in
+      for r = 0 to rows - 1 do
+        let mo = mm.T.off + (r * cols)
+        and tho = th.T.off + (r * cols)
+        and oo = out.T.off + (r * cols)
+        and p1o = p1.T.off + (r * cols)
+        and s1o = s1.T.off + (r * cols) in
+        for c = 0 to cols - 1 do
+          let v =
+            (BA.unsafe_get md (mo + c) +. BA.unsafe_get bd (bo + c))
+            *. BA.unsafe_get id (io + c)
+          in
+          let s1v =
+            (BA.unsafe_get p1d (p1o + c) *. BA.unsafe_get a1d (a1o + c))
+            +. (v *. BA.unsafe_get b1d (b1o + c))
+          in
+          BA.unsafe_set s1d (s1o + c) s1v;
+          BA.unsafe_set thd (tho + c)
+            ((s1v +. -.BA.unsafe_get e3 (eo3 + c)) *. BA.unsafe_get e4 (eo4 + c))
+        done;
+        activation_row ~fast thd ~tho od ~oo ~cols e2 eo2 e1 eo1
+      done
+  | _ -> invalid_arg "Network.layer_rows: a filter bank has one or two stages"
+
+(* Training forward: one custom tape node per (layer, draw) -------------- *)
+
 (* One sampled physical instance of a layer, shared across time steps:
-   the variation-folded component values are realized once, only the
-   input-dependent computation runs per step. *)
-type layer_real = {
+   the variation-folded component values are realized once as Vars (so
+   the ε / straight-through fold stays on the tape); the layer node
+   below consumes them. *)
+type layer_vars = {
   cb : Crossbar.realization;
   filt : Filter_layer.realization;
   act : Ptanh.realization;
-  mutable filt_state : Filter_layer.state;
 }
 
-let realize_layers_selective ~draw_crossbar ~draw_filter ~draw_act ~batch net =
+let realize_layers ~draw_crossbar ~draw_filter ~draw_act net =
   List.map
     (fun (cb, fl, act) ->
       (* Explicit sampling order — filters, activation, crossbar. The
@@ -74,55 +210,232 @@ let realize_layers_selective ~draw_crossbar ~draw_filter ~draw_act ~batch net =
       let filt = Filter_layer.realize ~draw:draw_filter fl in
       let act = Ptanh.realize ~draw:draw_act act in
       let cb = Crossbar.realize ~draw:draw_crossbar cb in
-      { cb; filt; act; filt_state = Filter_layer.init_state filt ~batch })
+      { cb; filt; act })
     net.layers
 
-let step_layer lr x =
-  let summed = Crossbar.apply lr.cb x in
-  let state', filtered = Filter_layer.step lr.filt lr.filt_state summed in
-  lr.filt_state <- state';
-  Ptanh.apply lr.act filtered
+(* The normalization multiplies by the reciprocal of the denominator,
+   computed here exactly as the evaluation realization computes it. *)
+let kernel_of_vars lv =
+  let v = Var.value in
+  {
+    k_theta = v lv.cb.Crossbar.theta_eff;
+    k_bias = v lv.cb.Crossbar.bias_num;
+    k_inv = T.map (fun x -> 1. /. x) (v lv.cb.Crossbar.denominator);
+    k_stages =
+      Array.map (fun sr -> (v sr.Filter_layer.a, v sr.Filter_layer.b)) lv.filt.Filter_layer.stage_reals;
+    k_e1 = v lv.act.Ptanh.e1;
+    k_e2 = v lv.act.Ptanh.e2;
+    k_e3 = v lv.act.Ptanh.e3;
+    k_e4 = v lv.act.Ptanh.e4;
+  }
 
 type readout = Integrated | Last_step
 
-let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net steps =
-  assert (Array.length steps > 0);
-  let batch = T.rows steps.(0) in
-  let reals = realize_layers_selective ~draw_crossbar ~draw_filter ~draw_act ~batch net in
+(* What a layer node emits: its whole output sequence (a hidden layer)
+   or the class scores read out of it (the last layer). *)
+type node_out = Sequence | Readout of readout
+
+let[@inline] bump (d : T.buffer) i v =
+  Bigarray.Array1.unsafe_set d i (Bigarray.Array1.unsafe_get d i +. v)
+
+(* Contributions to a parent's gradient arrive one time step at a time,
+   from the last step down, and combine as the per-step tape combined
+   them: the first is taken as is, each later one is added elementwise.
+   [combine ~started acc c] folds contribution [c] into [acc]. *)
+let combine ~started acc c = if started then T.add_inplace acc c else T.blit_into ~dst:acc c
+
+(* [layer_node ~out ~batch ~steps lv input]: the layer over the whole
+   sequence as one tape node. [input] holds the [steps·batch x n_in]
+   input sequence, time-major (rows [t·batch .. t·batch + batch − 1]
+   are step t). The forward is one matmul over all steps, then
+   [layer_rows] per step, saving each step's stage voltages and tanh
+   values for the adjoint (DESIGN.md, "The pTPB adjoint"). *)
+let layer_node ~out ~batch ~steps lv input =
+  let k = kernel_of_vars lv in
+  let x = Var.value input in
+  let rows = T.rows x and n = T.cols k.k_theta in
+  assert (rows = steps * batch);
+  let seq () = T.zeros ~rows ~cols:n in
+  let at a t = T.rows_view a ~row:(t * batch) ~len:batch in
+  let mm = seq () in
+  T.matmul_into ~dst:mm x k.k_theta;
+  let stage_reals = lv.filt.Filter_layer.stage_reals in
+  let ns = Array.length stage_reals in
+  let s = Array.init ns (fun _ -> seq ()) and th = seq () and y = seq () in
+  let init =
+    Array.map
+      (fun sr -> T.init ~rows:batch ~cols:n (fun _ c -> T.get sr.Filter_layer.v0 0 c))
+      stage_reals
+  in
+  for t = 0 to steps - 1 do
+    let prev = if t = 0 then init else Array.map (fun a -> at a (t - 1)) s in
+    layer_rows ~fast:false k ~mm:(at mm t) ~prev ~cur:(Array.map (fun a -> at a t) s)
+      ~th:(at th t) ~out:(at y t)
+  done;
   (* Default read-out: the class scores integrate the output voltage
      over the window — physically one slow RC stage per output (counted
      by Hardware). Reading only the final instant (Last_step, kept for
      the ablation bench) forgets transient evidence faster than any
      printable RC can retain it. *)
-  let acc = ref None in
-  Array.iter
-    (fun x_t ->
-      let signal = ref (Var.const x_t) in
-      List.iter (fun lr -> signal := step_layer lr !signal) reals;
-      acc :=
-        Some
-          (match (readout, !acc) with
-          | Last_step, _ | Integrated, None -> !signal
-          | Integrated, Some a -> Var.add a !signal))
-    steps;
-  match (readout, !acc) with
-  | Integrated, Some sum -> Var.scale (1. /. float_of_int (Array.length steps)) sum
-  | Last_step, Some last -> last
-  | _, None -> assert false
+  let scale = 1. /. float_of_int steps in
+  let value =
+    match out with
+    | Sequence -> y
+    | Readout Integrated ->
+        let acc = T.copy (at y 0) in
+        for t = 1 to steps - 1 do
+          T.add_inplace acc (at y t)
+        done;
+        T.scale scale acc
+    | Readout Last_step -> T.copy (at y (steps - 1))
+  in
+  let stage_vars =
+    Array.concat
+      (List.map (fun sr -> [| sr.Filter_layer.a; sr.Filter_layer.b |]) (Array.to_list stage_reals))
+  in
+  let parents =
+    Array.concat
+      [
+        [| input; lv.cb.Crossbar.theta_eff; lv.cb.Crossbar.bias_num; lv.cb.Crossbar.denominator |];
+        stage_vars;
+        [| lv.act.Ptanh.e1; lv.act.Ptanh.e2; lv.act.Ptanh.e3; lv.act.Ptanh.e4 |];
+      ]
+  in
+  let backward g =
+    let module BA = Bigarray.Array1 in
+    (* Output gradient of step t, [None] where the read-out ignores the
+       step (the tape then never reached that step's activation). *)
+    let gy =
+      match out with
+      | Sequence -> fun t -> Some (at g t)
+      | Readout Integrated ->
+          let gs = T.scale scale g in
+          fun _ -> Some gs
+      | Readout Last_step -> fun t -> if t = steps - 1 then Some g else None
+    in
+    (* Row-vector parents, one row each in the per-step column sums
+       [cs] and the accumulated gradients [acc], in [parents] order:
+       bias_num, denominator, a_i and b_i per stage, e1..e4. *)
+    let j_a i = 2 + (2 * i) and j_b i = 3 + (2 * i) and j_e = 2 + (2 * ns) in
+    let n_rv = j_e + 4 in
+    let cs = T.zeros ~rows:n_rv ~cols:n and acc = T.zeros ~rows:n_rv ~cols:n in
+    let rv m j = T.rows_view m ~row:j ~len:1 in
+    let d_theta = T.zeros ~rows:(T.cols x) ~cols:n and tmp_theta = T.zeros ~rows:(T.cols x) ~cols:n in
+    (* [rec_.(i)] carries stage i's gradient from step t+1 through the
+       recurrence (∂s_i(t+1) ∘ a_i); [gmm] is every step's gradient of
+       the matmul output. *)
+    let rec_ = Array.init ns (fun _ -> T.zeros ~rows:batch ~cols:n) in
+    let gmm = seq () in
+    let coeff (t : T.t) = (t.T.data, t.T.off) in
+    let md = mm.T.data and thd = th.T.data and gmd = gmm.T.data and csd = cs.T.data in
+    let sd = Array.map (fun a -> a.T.data) s and rd = Array.map (fun a -> a.T.data) rec_ in
+    let v0 = Array.map (fun sr -> coeff sr.Filter_layer.v0) stage_reals in
+    let ad = Array.map (fun (a, _) -> coeff a) k.k_stages in
+    let bd = Array.map (fun (_, b) -> coeff b) k.k_stages in
+    let bsd, bso = coeff k.k_bias and ivd, ivo = coeff k.k_inv in
+    let e2d, e2o = coeff k.k_e2 and e3d, e3o = coeff k.k_e3 and e4d, e4o = coeff k.k_e4 in
+    for t = steps - 1 downto 0 do
+      T.fill cs 0.;
+      let gy_t = gy t in
+      let has_y = Option.is_some gy_t in
+      let gyd, gyo = match gy_t with Some v -> coeff v | None -> (thd, 0) in
+      for r = 0 to batch - 1 do
+        let o = ((t * batch) + r) * n and po = (((t - 1) * batch) + r) * n and ro = r * n in
+        for c = 0 to n - 1 do
+          (* Printable tanh: y = e1 + e2·tanh(u·e4), u = s_last − e3. *)
+          let ff = ref 0. in
+          if has_y then begin
+            let g = BA.unsafe_get gyd (gyo + ro + c) and h = BA.unsafe_get thd (o + c) in
+            bump csd ((j_e * n) + c) g;
+            bump csd (((j_e + 1) * n) + c) (g *. h);
+            let g_z = g *. BA.unsafe_get e2d (e2o + c) *. (1. -. (h *. h)) in
+            let u = BA.unsafe_get sd.(ns - 1) (o + c) +. -.BA.unsafe_get e3d (e3o + c) in
+            bump csd (((j_e + 3) * n) + c) (g_z *. u);
+            let g_u = g_z *. BA.unsafe_get e4d (e4o + c) in
+            bump csd (((j_e + 2) * n) + c) g_u;
+            ff := g_u
+          end;
+          (* Filter stages, output side first: s_i = s_i(t−1)·a_i + x_i·b_i. *)
+          for i = ns - 1 downto 0 do
+            let g =
+              if t = steps - 1 then !ff
+              else if has_y || i < ns - 1 then BA.unsafe_get rd.(i) (ro + c) +. !ff
+              else BA.unsafe_get rd.(i) (ro + c)
+            in
+            let s_prev =
+              if t = 0 then
+                let v0d, v0o = v0.(i) in
+                BA.unsafe_get v0d (v0o + c)
+              else BA.unsafe_get sd.(i) (po + c)
+            in
+            let x_in =
+              if i = 0 then
+                (BA.unsafe_get md (o + c) +. BA.unsafe_get bsd (bso + c))
+                *. BA.unsafe_get ivd (ivo + c)
+              else BA.unsafe_get sd.(i - 1) (o + c)
+            in
+            bump csd ((j_a i * n) + c) (g *. s_prev);
+            bump csd ((j_b i * n) + c) (g *. x_in);
+            let a_d, a_o = ad.(i) and b_d, b_o = bd.(i) in
+            BA.unsafe_set rd.(i) (ro + c) (g *. BA.unsafe_get a_d (a_o + c));
+            ff := g *. BA.unsafe_get b_d (b_o + c)
+          done;
+          (* Crossbar: v = (m + bias_num) / denominator. *)
+          let inv = BA.unsafe_get ivd (ivo + c) in
+          let v = (BA.unsafe_get md (o + c) +. BA.unsafe_get bsd (bso + c)) *. inv in
+          let g_m = !ff *. inv in
+          bump csd c g_m;
+          bump csd (n + c) (!ff *. v *. inv);
+          BA.unsafe_set gmd (o + c) g_m
+        done
+      done;
+      (* The denominator and e3 rows are negated after the column sum,
+         like their per-step rules, to stay bit-identical. *)
+      List.iter (fun j -> T.blit_into ~dst:(rv cs j) (T.neg (rv cs j))) [ 1; j_e + 2 ];
+      (* Every step contributes to the crossbar and filter rows; the
+         activation rows only where the step has an output gradient. *)
+      let started = t < steps - 1 in
+      for j = 0 to (if has_y then n_rv else j_e) - 1 do
+        combine ~started (rv acc j) (rv cs j)
+      done;
+      T.matmul_tn_into ~dst:tmp_theta (at x t) (at gmm t);
+      combine ~started d_theta tmp_theta
+    done;
+    let input_grad =
+      if Var.requires_grad input then Some (T.matmul gmm (T.transpose k.k_theta)) else None
+    in
+    Array.append [| input_grad; Some d_theta |] (Array.init n_rv (fun j -> Some (rv acc j)))
+  in
+  Var.custom value parents backward
 
-let forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net steps =
-  forward_multi_readout ~readout:Integrated ~draw_crossbar ~draw_filter ~draw_act net steps
+(* Time-major stacking of per-step [batch x n] inputs into the
+   [steps·batch x n] sequence a layer node consumes. *)
+let stack_steps steps =
+  let batch = T.rows steps.(0) and n = T.cols steps.(0) in
+  let seq = T.zeros ~rows:(Array.length steps * batch) ~cols:n in
+  Array.iteri (fun t x_t -> T.blit_into ~dst:(T.rows_view seq ~row:(t * batch) ~len:batch) x_t) steps;
+  seq
+
+let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net steps =
+  assert (Array.length steps > 0);
+  let batch = T.rows steps.(0) and n_steps = Array.length steps in
+  let layers = realize_layers ~draw_crossbar ~draw_filter ~draw_act net in
+  let last = List.length layers - 1 in
+  let signal = ref (Var.const (stack_steps steps)) in
+  List.iteri
+    (fun i lv ->
+      let out = if i = last then Readout readout else Sequence in
+      signal := layer_node ~out ~batch ~steps:n_steps lv !signal)
+    layers;
+  !signal
 
 let forward_readout ~readout ~draw net x =
   let steps = Array.init (T.cols x) (fun k -> T.col x k) in
   forward_multi_readout ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
 
 let forward_multi ~draw net steps =
-  forward_multi_selective ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_selective ~draw_crossbar ~draw_filter ~draw_act net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net steps
+  forward_multi_readout ~readout:Integrated ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw
+    net steps
 
 let forward ~draw net x =
   let time = T.cols x in
@@ -158,19 +471,6 @@ let realize_net_t ~draw_crossbar ~draw_filter ~draw_act net =
       let cb_t = Crossbar.realize_t ~draw:draw_crossbar cb in
       { cb_t; filt_t; act_t; n_out = Crossbar.outputs cb })
     net.layers
-
-(* Raw coefficient views of one realized layer, extracted once per
-   draw so the per-time-step loop below touches plain tensors only. *)
-type layer_kernel = {
-  k_theta : T.t;
-  k_bias : T.t;
-  k_inv : T.t;
-  k_stages : (T.t * T.t) array;
-  k_e1 : T.t;
-  k_e2 : T.t;
-  k_e3 : T.t;
-  k_e4 : T.t;
-}
 
 let make_kernel real =
   let theta, bias, inv = Crossbar.kernel_t real.cb_t in
@@ -216,126 +516,15 @@ let make_ws ?(init = `V0) ?states ~batch reals =
       })
     reals states
 
-let step_layer_t ?precision lr x =
-  Crossbar.apply_t_into ~dst:lr.cb_out lr.real.cb_t x;
-  let filtered = Filter_layer.step_t lr.real.filt_t lr.filt_state_t lr.cb_out in
-  Ptanh.apply_t_into ?precision ~dst:lr.act_out lr.real.act_t filtered;
-  lr.act_out
-
-(* Fused layer step for the no-grad path: after the crossbar matmul,
-   one elementwise pass applies bias + normalization, the RC filter
-   stage update(s) and the printable-tanh activation. Every one of
-   those kernels is elementwise over the same [batch x features] block
-   with no cross-element reduction, and the fused loop evaluates the
-   exact per-element operation sequence of [step_layer_t]
-   (apply_t_into; step_t; Ptanh.apply_t_into) — so fusing the passes
-   changes memory traffic only, never a result bit. Unchecked accesses
-   are covered by the shape asserts plus the tensor view invariant.
-   Specialized for the two printable filter orders; any other stage
-   count falls back to the unfused sequence.
-
-   [~fast] selects the activation implementation: [false] is
-   [Stdlib.tanh] (bit-identical to the Var path), [true] is
-   [Fast_math.tanh] (≤1e-7 absolute tanh error; see docs/BATCHING.md).
-   Nothing else in the element sequence changes between the tiers. *)
-(* Activation pass over one row whose elements already hold the scaled
-   pre-activations: tanh in place, then the eta2/eta1 affine. Two entry
-   points for the transcendental — `Fast runs [Fast_math.apply_range]
-   (one unboxed in-module loop; a per-element cross-module call would
-   box both floats without flambda and cost more than the polynomial
-   saves), `Exact the direct unboxed [Stdlib.tanh] extern. The
-   per-element expression tree is identical to the former single-pass
-   form, so `Exact results stay bit-for-bit unchanged. *)
-let activation_rows ~fast od ~off ~cols e2 eo2 e1 eo1 =
-  let module BA = Bigarray.Array1 in
-  if fast then Pnc_tensor.Fast_math.apply_range od ~off ~len:cols
-  else
-    for c = 0 to cols - 1 do
-      BA.unsafe_set od (off + c) (Stdlib.tanh (BA.unsafe_get od (off + c)))
-    done;
-  for c = 0 to cols - 1 do
-    BA.unsafe_set od (off + c)
-      ((BA.unsafe_get od (off + c) *. BA.unsafe_get e2 (eo2 + c))
-      +. BA.unsafe_get e1 (eo1 + c))
-  done
-
+(* Evaluation layer step: the crossbar matmul into the layer's scratch
+   block, then the shared kernel in place on the block's filter state —
+   the exact per-element sequence of the training node, so `Exact logits
+   are bit-identical to the Var path. *)
 let fused_step_layer ~fast lr x =
-  let module BA = Bigarray.Array1 in
-  let k = lr.kern in
-  let mm = lr.cb_out and out = lr.act_out in
-  let rows = T.rows mm and cols = T.cols mm in
-  assert (T.cols k.k_bias = cols && T.cols k.k_inv = cols && T.cols k.k_e1 = cols);
-  let md = mm.T.data and od = out.T.data in
-  let bd = k.k_bias.T.data and bo = k.k_bias.T.off in
-  let id = k.k_inv.T.data and io = k.k_inv.T.off in
-  let e1 = k.k_e1.T.data and eo1 = k.k_e1.T.off in
-  let e2 = k.k_e2.T.data and eo2 = k.k_e2.T.off in
-  let e3 = k.k_e3.T.data and eo3 = k.k_e3.T.off in
-  let e4 = k.k_e4.T.data and eo4 = k.k_e4.T.off in
-  match (lr.filt_state_t, k.k_stages) with
-  | [| s1; s2 |], [| (a1, b1); (a2, b2) |] ->
-      T.matmul_into ~dst:mm x k.k_theta;
-      assert (T.same_shape s1 mm && T.same_shape s2 mm);
-      assert (T.cols a1 = cols && T.cols b1 = cols && T.cols a2 = cols && T.cols b2 = cols);
-      let s1d = s1.T.data and s2d = s2.T.data in
-      let a1d = a1.T.data and a1o = a1.T.off in
-      let b1d = b1.T.data and b1o = b1.T.off in
-      let a2d = a2.T.data and a2o = a2.T.off in
-      let b2d = b2.T.data and b2o = b2.T.off in
-      for r = 0 to rows - 1 do
-        let mo = mm.T.off + (r * cols)
-        and oo = out.T.off + (r * cols)
-        and s1o = s1.T.off + (r * cols)
-        and s2o = s2.T.off + (r * cols) in
-        for c = 0 to cols - 1 do
-          let v =
-            (BA.unsafe_get md (mo + c) +. BA.unsafe_get bd (bo + c))
-            *. BA.unsafe_get id (io + c)
-          in
-          let s1v =
-            (BA.unsafe_get s1d (s1o + c) *. BA.unsafe_get a1d (a1o + c))
-            +. (v *. BA.unsafe_get b1d (b1o + c))
-          in
-          BA.unsafe_set s1d (s1o + c) s1v;
-          let s2v =
-            (BA.unsafe_get s2d (s2o + c) *. BA.unsafe_get a2d (a2o + c))
-            +. (s1v *. BA.unsafe_get b2d (b2o + c))
-          in
-          BA.unsafe_set s2d (s2o + c) s2v;
-          BA.unsafe_set od (oo + c)
-            ((s2v +. -.BA.unsafe_get e3 (eo3 + c)) *. BA.unsafe_get e4 (eo4 + c))
-        done;
-        activation_rows ~fast od ~off:oo ~cols e2 eo2 e1 eo1
-      done;
-      out
-  | [| s1 |], [| (a1, b1) |] ->
-      T.matmul_into ~dst:mm x k.k_theta;
-      assert (T.same_shape s1 mm);
-      assert (T.cols a1 = cols && T.cols b1 = cols);
-      let s1d = s1.T.data in
-      let a1d = a1.T.data and a1o = a1.T.off in
-      let b1d = b1.T.data and b1o = b1.T.off in
-      for r = 0 to rows - 1 do
-        let mo = mm.T.off + (r * cols)
-        and oo = out.T.off + (r * cols)
-        and s1o = s1.T.off + (r * cols) in
-        for c = 0 to cols - 1 do
-          let v =
-            (BA.unsafe_get md (mo + c) +. BA.unsafe_get bd (bo + c))
-            *. BA.unsafe_get id (io + c)
-          in
-          let s1v =
-            (BA.unsafe_get s1d (s1o + c) *. BA.unsafe_get a1d (a1o + c))
-            +. (v *. BA.unsafe_get b1d (b1o + c))
-          in
-          BA.unsafe_set s1d (s1o + c) s1v;
-          BA.unsafe_set od (oo + c)
-            ((s1v +. -.BA.unsafe_get e3 (eo3 + c)) *. BA.unsafe_get e4 (eo4 + c))
-        done;
-        activation_rows ~fast od ~off:oo ~cols e2 eo2 e1 eo1
-      done;
-      out
-  | _ -> step_layer_t ~precision:(if fast then `Fast else `Exact) lr x
+  T.matmul_into ~dst:lr.cb_out x lr.kern.k_theta;
+  layer_rows ~fast lr.kern ~mm:lr.cb_out ~prev:lr.filt_state_t ~cur:lr.filt_state_t
+    ~th:lr.act_out ~out:lr.act_out;
+  lr.act_out
 
 (* Run one block of rows through all time steps against an already
    realized circuit instance. *)

@@ -47,7 +47,13 @@ val forward : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Va
     physically an RC integrator per class output (accounted for by
     {!Hardware}). One component sample is
     drawn per call and shared across all time steps — the circuit is
-    the same physical device throughout the sequence. *)
+    the same physical device throughout the sequence.
+
+    Each layer records one tape node for the whole sequence, with a
+    hand-written backpropagation-through-time adjoint whose gradients
+    are bit-identical to differentiating the per-step graph (DESIGN.md,
+    "The pTPB adjoint"); the realized component values stay ordinary
+    tape nodes, so straight-through draws keep their semantics. *)
 
 val forward_multi :
   draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
@@ -60,18 +66,6 @@ val forward_readout :
 (** {!forward} with a selectable read-out: [Integrated] (the default,
     time-averaged output) or [Last_step] (the final instant only) —
     used by the read-out ablation bench. *)
-
-val forward_selective :
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_autodiff.Var.t
-(** Forward with independent variation draws per component family —
-    lets {!Sensitivity} attribute robustness loss to crossbar
-    conductances, filter RC values or activation parameters
-    separately. *)
 
 (** {1 Pure-tensor forward (no-grad evaluation path)}
 
@@ -103,9 +97,10 @@ val forward_selective_t :
   t ->
   Pnc_tensor.Tensor.t ->
   Pnc_tensor.Tensor.t
-(** Tensor-path twin of {!forward_selective} — bit-identical logits
-    under the same draws, no autodiff nodes; safe inside a
-    {!Pnc_util.Pool} task. *)
+(** Forward with independent variation draws per component family —
+    lets {!Sensitivity} attribute robustness loss to crossbar
+    conductances, filter RC values or activation parameters separately.
+    No autodiff nodes; safe inside a {!Pnc_util.Pool} task. *)
 
 (** {1 Batched forwards}
 

@@ -28,19 +28,12 @@ let sample_eps ~draw a =
    realize them once per forward pass. *)
 type realization = { e1 : Var.t; e2 : Var.t; e3 : Var.t; e4 : Var.t }
 
-let realize_const ?(ste = false) ~eps a =
-  assert (Array.length eps = 4);
-  let e i v = if ste then Var.ste_mul v eps.(i) else Var.mul v (Var.const eps.(i)) in
+let realize ~draw a =
+  let eps = sample_eps ~draw a in
+  let e i v =
+    if draw.Variation.ste then Var.ste_mul v eps.(i) else Var.mul v (Var.const eps.(i))
+  in
   { e1 = e 0 a.eta1; e2 = e 1 a.eta2; e3 = e 2 a.eta3; e4 = e 3 a.eta4 }
-
-let realize ~draw a = realize_const ~ste:draw.Variation.ste ~eps:(sample_eps ~draw a) a
-
-let apply real x =
-  let scaled = Var.mul_rv (Var.sub_rv x real.e3) real.e4 in
-  Var.add_rv (Var.mul_rv (Var.tanh scaled) real.e2) real.e1
-
-let forward_const ?ste ~eps a x = apply (realize_const ?ste ~eps a) x
-let forward ~draw a x = forward_const ~ste:draw.Variation.ste ~eps:(sample_eps ~draw a) a x
 
 (* Pure-tensor realization for the no-grad evaluation path. *)
 type realization_t = { e1_t : T.t; e2_t : T.t; e3_t : T.t; e4_t : T.t }
@@ -68,8 +61,9 @@ let apply_t_into ?(precision = `Exact) ~dst real x =
     let xo = x.T.off + (r * cols) and oo = dst.T.off + (r * cols) in
     for c = 0 to cols - 1 do
       (* Fused η₁ + η₂·tanh((x − η₃)·η₄) with the exact elementwise
-         operation sequence of [apply] (sub_rv is add of the negation),
-         so results stay bit-identical to the Var path under [`Exact].
+         operation sequence of the training node (the subtraction is an
+         add of the negation), so results stay bit-identical to the Var
+         path under [`Exact].
          [`Fast] substitutes the bounded approximation for the single
          transcendental — everything around it is unchanged, so the
          logit deviation is |η₂|·(tanh error) ≤ 1e-7 per element.

@@ -16,22 +16,20 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 (** Stable checkpoint path names ([eta1] .. [eta4]); same order as
     {!params}. *)
 
-val forward_const :
-  ?ste:bool -> eps:Pnc_tensor.Tensor.t array -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-(** [eps] holds four [1 x features] factors for η₁..η₄. [ste] (default
-    false) folds them with {!Pnc_autodiff.Var.ste_mul} — identical
-    forward, straight-through backward. *)
-
-val forward : draw:Variation.draw -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-
 val sample_eps : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array
 
-type realization
-(** One physical instance (ε folded into the η rows), shared across the
-    time steps of a sequence. *)
+type realization = {
+  e1 : Pnc_autodiff.Var.t;
+  e2 : Pnc_autodiff.Var.t;
+  e3 : Pnc_autodiff.Var.t;
+  e4 : Pnc_autodiff.Var.t;
+}
+(** One physical instance: the [1 x features] rows η₁..η₄ with ε
+    folded in (straight-through when the draw is marked [ste]), shared
+    across the time steps of a sequence. {!Network} applies it, with
+    its adjoint, inside its fused layer node. *)
 
 val realize : draw:Variation.draw -> t -> realization
-val apply : realization -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
 
 type realization_t
 (** Pure-tensor realization for the no-grad evaluation path. *)

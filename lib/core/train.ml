@@ -80,6 +80,28 @@ let restore params snap =
 
 exception Killed of int
 
+let step ~opt ~lr ~rng cfg model ~x ~labels =
+  Optimizer.zero_grads opt;
+  let loss =
+    Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng ~spec:cfg.variation
+      ~n:cfg.mc_samples model ~x ~labels
+  in
+  Var.backward loss;
+  Option.iter (fun m -> Optimizer.clip_grad_norm opt ~max_norm:m) cfg.grad_clip;
+  Optimizer.step opt ~lr;
+  Model.clamp model;
+  T.get_scalar (Var.value loss)
+
+(* One epoch of [train]: the optimizer step, then the validation
+   objective on the no-grad path (same stream, drawn after the step). *)
+let run_epoch ~opt ~lr ~rng cfg model ~train:(x, labels) ~valid:(xv, lv) =
+  let train_loss = step ~opt ~lr ~rng cfg model ~x ~labels in
+  let val_loss =
+    Mc_loss.expected_value ~antithetic:cfg.antithetic ~rng ~spec:cfg.variation
+      ~n:cfg.mc_samples_val model ~x:xv ~labels:lv
+  in
+  (train_loss, val_loss)
+
 let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume_from
     ?die_at_epoch cfg model split =
   Obs.Span.with_ "train" @@ fun () ->
@@ -138,22 +160,11 @@ let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume
     incr epoch;
     Obs.Counter.incr epochs_counter;
     let t0 = if Obs.enabled () then Clock.now () else 0. in
-    Optimizer.zero_grads opt;
-    let loss =
-      Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng
-        ~spec:cfg.variation ~n:cfg.mc_samples model ~x:x_train ~labels:y_train
+    let train_loss, val_loss =
+      run_epoch ~opt ~lr:(Scheduler.lr sched) ~rng cfg model ~train:(x_train, y_train)
+        ~valid:(x_val, y_val)
     in
-    Var.backward loss;
-    (match cfg.grad_clip with
-    | Some m -> Optimizer.clip_grad_norm opt ~max_norm:m
-    | None -> ());
-    Optimizer.step opt ~lr:(Scheduler.lr sched);
-    Model.clamp model;
-    let val_loss =
-      Mc_loss.expected_value ~antithetic:cfg.antithetic ~rng ~spec:cfg.variation
-        ~n:cfg.mc_samples_val model ~x:x_val ~labels:y_val
-    in
-    train_curve := T.get_scalar (Var.value loss) :: !train_curve;
+    train_curve := train_loss :: !train_curve;
     val_curve := val_loss :: !val_curve;
     if val_loss < !best then begin
       best := val_loss;
@@ -165,7 +176,7 @@ let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume
       Obs.emit "train.epoch"
         [
           ("epoch", Obs.Int !epoch);
-          ("train_loss", Obs.Float (T.get_scalar (Var.value loss)));
+          ("train_loss", Obs.Float train_loss);
           ("val_loss", Obs.Float val_loss);
           ("lr", Obs.Float (Scheduler.lr sched));
           ("grad_norm", Obs.Float (Optimizer.grad_norm opt));
@@ -232,19 +243,9 @@ let accuracy_under_variation ?batch_size ?precision ?pool ~rng ~spec ~draws mode
   acc
 
 let epoch_seconds ?(rng = Rng.create ~seed:0) cfg model split =
-  let x_train, y_train = to_xy split.Dataset.train in
-  let params = Model.params model in
-  let opt = Optimizer.adamw ~weight_decay:cfg.weight_decay ~params () in
-  let run () =
-    Optimizer.zero_grads opt;
-    let loss =
-      Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng
-        ~spec:cfg.variation ~n:cfg.mc_samples model ~x:x_train ~labels:y_train
-    in
-    Var.backward loss;
-    Optimizer.step opt ~lr:1e-4;
-    Model.clamp model
-  in
+  let train = to_xy split.Dataset.train and valid = to_xy split.Dataset.valid in
+  let opt = Optimizer.adamw ~weight_decay:cfg.weight_decay ~params:(Model.params model) () in
+  let run () = ignore (run_epoch ~opt ~lr:cfg.lr ~rng cfg model ~train ~valid) in
   (* One warm-up epoch, then the timed mean of three. *)
   run ();
   Pnc_util.Timer.time_mean ~repeats:3 run

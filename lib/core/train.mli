@@ -111,6 +111,22 @@ val accuracy_under_variation :
     [batch_size] never changes the result ([precision] can — [`Fast]
     uses the bounded fast tanh). *)
 
+val step :
+  opt:Pnc_optim.Optimizer.t ->
+  lr:float ->
+  rng:Pnc_util.Rng.t ->
+  config ->
+  Model.t ->
+  x:Pnc_tensor.Tensor.t ->
+  labels:int array ->
+  float
+(** One optimizer step of {!train}: zero the gradients, take the
+    Monte-Carlo objective over [cfg.mc_samples] draws from [rng] (with
+    [cfg]'s antithetic and noise-injection settings), backpropagate,
+    clip to [cfg.grad_clip], apply [opt] at [lr], and clamp the model to
+    its printable windows. Returns the objective's value. *)
+
 val epoch_seconds : ?rng:Pnc_util.Rng.t -> config -> Model.t -> Pnc_data.Dataset.split -> float
-(** Wall-clock seconds of one training epoch (forward + backward +
-    step), used for the runtime comparison (Table II). *)
+(** Wall-clock seconds of one epoch of {!train} — {!step} on the
+    training split plus the validation objective — used for the runtime
+    comparison (Table II). Mutates the model like training does. *)

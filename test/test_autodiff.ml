@@ -2,7 +2,7 @@
    analytic gradients against central finite differences. *)
 
 module T = Pnc_tensor.Tensor
-module Var = Pnc_autodiff.Var
+module Var = Layer_oracle.Var
 module Loss = Pnc_autodiff.Loss
 module Rng = Pnc_util.Rng
 
@@ -410,9 +410,9 @@ let test_n_nodes () =
    forward mismatch. *)
 
 module Network = Pnc_core.Network
-module Crossbar = Pnc_core.Crossbar
-module Filter_layer = Pnc_core.Filter_layer
-module Ptanh = Pnc_core.Ptanh
+module Crossbar = Layer_oracle.Crossbar
+module Filter_layer = Layer_oracle.Filter_layer
+module Ptanh = Layer_oracle.Ptanh
 module Variation = Pnc_core.Variation
 
 (* Central-difference check against [Var.backward] for parameters that

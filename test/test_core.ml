@@ -7,9 +7,9 @@ module Var = Pnc_autodiff.Var
 module Rng = Pnc_util.Rng
 module Printed = Pnc_core.Printed
 module Variation = Pnc_core.Variation
-module Crossbar = Pnc_core.Crossbar
-module Ptanh = Pnc_core.Ptanh
-module Filter_layer = Pnc_core.Filter_layer
+module Crossbar = Layer_oracle.Crossbar
+module Ptanh = Layer_oracle.Ptanh
+module Filter_layer = Layer_oracle.Filter_layer
 module Network = Pnc_core.Network
 module Elman = Pnc_core.Elman
 module Model = Pnc_core.Model
@@ -985,6 +985,163 @@ let prop_network_deterministic_forward =
       let b = Var.value (Network.forward ~draw:Variation.deterministic net x) in
       T.equal_eps ~eps:0. a b)
 
+(* Fused layer node vs the per-step tape oracle ---------------------------- *)
+
+(* [Network.forward] trains through one tape node per (layer, draw) with a
+   hand-written adjoint. Its logits, loss and every parameter gradient
+   must equal the per-step tape reference in [Layer_oracle] bit for bit:
+   the adjoint mirrors each per-step node's backward expression and the
+   tape's accumulation order. *)
+
+type fused_case = {
+  fc_seed : int;
+  fc_arch : Network.arch;
+  fc_readout : Network.readout;
+  fc_inputs : int;
+  fc_batch : int;
+  fc_time : int;
+  fc_ste : bool;
+  fc_antithetic : bool;
+  fc_corr : bool;
+}
+
+let show_fused_case c =
+  Printf.sprintf "{seed=%d %s %s inputs=%d batch=%d T=%d ste=%b antithetic=%b corr=%b}" c.fc_seed
+    (Network.arch_name c.fc_arch)
+    (match c.fc_readout with Network.Integrated -> "integrated" | Network.Last_step -> "last-step")
+    c.fc_inputs c.fc_batch c.fc_time c.fc_ste c.fc_antithetic c.fc_corr
+
+let gen_fused_case =
+  let open Qgen in
+  fun rng ->
+    let fc_seed = int_range 0 100_000 rng in
+    let fc_arch = oneof [ Network.Ptpnc; Network.Adapt ] rng in
+    (* The multivariate entry point reads out by integration only. *)
+    let fc_inputs = int_range 1 2 rng in
+    let fc_readout =
+      if fc_inputs = 1 then oneof [ Network.Integrated; Network.Last_step ] rng
+      else Network.Integrated
+    in
+    let fc_batch = int_range 1 5 rng in
+    let fc_time = int_range 3 9 rng in
+    let fc_ste = bool rng in
+    let fc_antithetic = bool rng in
+    let fc_corr = bool rng in
+    { fc_seed; fc_arch; fc_readout; fc_inputs; fc_batch; fc_time; fc_ste; fc_antithetic; fc_corr }
+
+let shrink_fused_case c =
+  List.filter_map Fun.id
+    [
+      (if c.fc_batch > 1 then Some { c with fc_batch = c.fc_batch - 1 } else None);
+      (if c.fc_time > 3 then Some { c with fc_time = c.fc_time - 1 } else None);
+      (if c.fc_antithetic then Some { c with fc_antithetic = false } else None);
+      (if c.fc_corr then Some { c with fc_corr = false } else None);
+      (if c.fc_ste then Some { c with fc_ste = false } else None);
+    ]
+
+let bits_equal a b =
+  T.rows a = T.rows b
+  && T.cols a = T.cols b
+  &&
+  let ok = ref true in
+  for r = 0 to T.rows a - 1 do
+    for c = 0 to T.cols a - 1 do
+      if Int64.bits_of_float (T.get a r c) <> Int64.bits_of_float (T.get b r c) then ok := false
+    done
+  done;
+  !ok
+
+(* Loss (summed over the case's draws), logits and parameter gradients of
+   one backward pass through [forward]. The draws replay from one saved
+   stream state, so both forwards see the same physical instances. *)
+let fused_case_run c net ~steps ~x ~labels forward =
+  let spec =
+    if c.fc_corr then
+      Variation.correlated
+        ~drift:{ Variation.temp_c = 60.; age_hours = 1000. }
+        ~rho:0.6 ~clen:1.5 (Variation.uniform 0.2)
+    else Variation.uniform 0.1
+  in
+  let rng = Rng.create ~seed:(c.fc_seed + 1) in
+  let draws =
+    if c.fc_antithetic then
+      let d1, d2 = Variation.antithetic_pair ~ste:c.fc_ste rng spec in
+      [ d1; d2 ]
+    else [ Variation.make_draw ~ste:c.fc_ste rng spec ]
+  in
+  let params = Network.params net in
+  List.iter Var.zero_grad params;
+  let logits = List.map (fun draw -> forward ~draw ~steps ~x) draws in
+  let losses = List.map (fun l -> Pnc_autodiff.Loss.softmax_cross_entropy ~logits:l ~labels) logits in
+  let loss = List.fold_left Var.add (List.hd losses) (List.tl losses) in
+  Var.backward loss;
+  (Var.value loss :: List.map Var.value logits, List.map (fun p -> T.copy (Var.grad p)) params)
+
+let fused_matches_tape c =
+  let rng = Rng.create ~seed:c.fc_seed in
+  let classes = 2 + Rng.int rng 2 and hidden = 2 + Rng.int rng 3 in
+  let net = Network.create ~hidden rng c.fc_arch ~inputs:c.fc_inputs ~classes in
+  let steps =
+    Array.init c.fc_time (fun _ ->
+        T.uniform rng ~rows:c.fc_batch ~cols:c.fc_inputs ~lo:(-1.) ~hi:1.)
+  in
+  let x = T.init ~rows:c.fc_batch ~cols:c.fc_time (fun r t -> T.get steps.(t) r 0) in
+  let labels = Array.init c.fc_batch (fun _ -> Rng.int rng classes) in
+  let readout = c.fc_readout in
+  let fused =
+    fused_case_run c net ~steps ~x ~labels (fun ~draw ~steps ~x ->
+        if c.fc_inputs = 1 then Network.forward_readout ~readout ~draw net x
+        else Network.forward_multi ~draw net steps)
+  in
+  let tape =
+    fused_case_run c net ~steps ~x ~labels (fun ~draw ~steps ~x:_ ->
+        Layer_oracle.Network.reference_multi ~readout ~draw_crossbar:draw ~draw_filter:draw
+          ~draw_act:draw net steps)
+  in
+  List.for_all2 bits_equal (fst fused) (fst tape) && List.for_all2 bits_equal (snd fused) (snd tape)
+
+let prop_fused_matches_tape =
+  Qgen.test_case ~count:60 ~pp:show_fused_case ~shrink:shrink_fused_case
+    "fused layer node = per-step tape (logits, loss, every gradient)" gen_fused_case
+    fused_matches_tape
+
+let test_fused_matches_tape_at_paper_shape () =
+  (* One case at the trained shape's sequence length (64 steps), where
+     the per-step accumulation order matters most. *)
+  let c =
+    {
+      fc_seed = 5;
+      fc_arch = Network.Adapt;
+      fc_readout = Network.Integrated;
+      fc_inputs = 1;
+      fc_batch = 6;
+      fc_time = 64;
+      fc_ste = false;
+      fc_antithetic = true;
+      fc_corr = false;
+    }
+  in
+  Alcotest.(check bool) "bit-identical" true (fused_matches_tape c)
+
+(* Per-call tape cost of the MC objective must not grow with the sequence
+   length: every layer of every draw is one node, whatever T is. *)
+let test_mc_loss_nodes_independent_of_length () =
+  let model =
+    Model.Circuit (Network.create ~hidden:4 (Rng.create ~seed:3) Network.Adapt ~inputs:1 ~classes:3)
+  in
+  let labels = [| 0; 1; 2; 0; 1 |] in
+  let cost ~time =
+    let x = T.uniform (Rng.create ~seed:4) ~rows:5 ~cols:time ~lo:(-1.) ~hi:1. in
+    let n0 = Var.nodes_created () and t0 = Var.tape_recorded () in
+    ignore
+      (Mc_loss.expected ~antithetic:true ~rng:(Rng.create ~seed:5) ~spec:(Variation.uniform 0.1)
+         ~n:2 model ~x ~labels);
+    (Var.nodes_created () - n0, Var.tape_recorded () - t0)
+  in
+  let n8, t8 = cost ~time:8 and n64, t64 = cost ~time:64 in
+  Alcotest.(check int) "nodes created, T = 8 vs 64" n8 n64;
+  Alcotest.(check int) "tape nodes recorded, T = 8 vs 64" t8 t64
+
 let () =
   Alcotest.run "pnc_core"
     [
@@ -1057,6 +1214,13 @@ let () =
           Alcotest.test_case "mc value agrees" `Quick test_expected_value_matches_var_path;
           Alcotest.test_case "re-seeded run identical" `Quick test_expected_value_reseed_regression;
           Alcotest.test_case "zero Var allocation" `Quick test_fast_path_allocates_no_var_nodes;
+        ] );
+      ( "fused-vs-tape",
+        [
+          prop_fused_matches_tape;
+          Alcotest.test_case "64 steps bit-identical" `Quick test_fused_matches_tape_at_paper_shape;
+          Alcotest.test_case "tape nodes independent of T" `Quick
+            test_mc_loss_nodes_independent_of_length;
         ] );
       ( "hardware",
         [

@@ -138,6 +138,34 @@ let test_epoch_seconds_positive () =
   let s = Train.epoch_seconds smoke (Model.Circuit net) split in
   Alcotest.(check bool) "positive" true (s > 0.)
 
+let test_step_is_train_epoch () =
+  (* [Train.step] is the optimizer step [Train.train] runs (and the one
+     [epoch_seconds] times): from the same model, stream and fresh
+     optimizer, one step lands on a one-epoch run's loss and parameters
+     bit for bit — clipping, noise injection and antithetic pairs
+     included. *)
+  let split = gpovy_split () in
+  let model () =
+    Model.Circuit (Network.create ~hidden:3 (Rng.create ~seed:14) Network.Adapt ~inputs:1 ~classes:2)
+  in
+  let cfg =
+    { smoke with Train.max_epochs = 1; grad_clip = Some 0.5; noise_injection = true; antithetic = true }
+  in
+  let trained = model () in
+  let h = Train.train ~rng:(Rng.create ~seed:15) cfg trained split in
+  let stepped = model () in
+  let x, labels = Train.to_xy split.Dataset.train in
+  let opt =
+    Pnc_optim.Optimizer.adamw ~weight_decay:cfg.Train.weight_decay ~params:(Model.params stepped) ()
+  in
+  let loss = Train.step ~opt ~lr:cfg.Train.lr ~rng:(Rng.create ~seed:15) cfg stepped ~x ~labels in
+  Alcotest.(check bool) "same loss" true
+    (Int64.bits_of_float loss = Int64.bits_of_float h.Train.train_loss_curve.(0));
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "same parameters" true (T.equal_eps ~eps:0. (Var.value a) (Var.value b)))
+    (Model.params trained) (Model.params stepped)
+
 let test_variation_aware_helps_under_variation () =
   (* Train the same architecture with and without the MC objective and
      compare accuracy under strong (25%) component variation. The VA
@@ -190,5 +218,6 @@ let () =
           Alcotest.test_case "printable invariants" `Quick test_printable_invariants_after_training;
           Alcotest.test_case "variation accuracy bounds" `Quick test_accuracy_under_variation_bounds;
           Alcotest.test_case "epoch seconds" `Quick test_epoch_seconds_positive;
+          Alcotest.test_case "step = one train epoch" `Quick test_step_is_train_epoch;
         ] );
     ]
