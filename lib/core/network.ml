@@ -235,21 +235,33 @@ type readout = Integrated | Last_step
    or the class scores read out of it (the last layer). *)
 type node_out = Sequence | Readout of readout
 
-let[@inline] bump (d : T.buffer) i v =
-  Bigarray.Array1.unsafe_set d i (Bigarray.Array1.unsafe_get d i +. v)
-
 (* Contributions to a parent's gradient arrive one time step at a time,
    from the last step down, and combine as the per-step tape combined
-   them: the first is taken as is, each later one is added elementwise.
-   [combine ~started acc c] folds contribution [c] into [acc]. *)
-let combine ~started acc c = if started then T.add_inplace acc c else T.blit_into ~dst:acc c
+   them: the last step's is taken as is, each earlier one is added.
+   [fold d i ~last v] folds contribution [v] into element [i] of [d]. *)
+let[@inline] fold (d : T.buffer) i ~last v =
+  Bigarray.Array1.unsafe_set d i (if last then v else Bigarray.Array1.unsafe_get d i +. v)
+
+(* Folds one column of the activation rows e1..e4 (from row [j_e] of
+   an [n]-column accumulator). The e3 sum is negated first, like its
+   per-step rule. *)
+let[@inline] fold_activation d ~n ~j_e c ~last e1 e2 e3 e4 =
+  fold d ((j_e * n) + c) ~last e1;
+  fold d (((j_e + 1) * n) + c) ~last e2;
+  fold d (((j_e + 2) * n) + c) ~last (-.e3);
+  fold d (((j_e + 3) * n) + c) ~last e4
+
+(* Element [c] of a row vector. *)
+let[@inline] col (v : T.t) c = Bigarray.Array1.unsafe_get v.T.data (v.T.off + c)
 
 (* [layer_node ~out ~batch ~steps lv input]: the layer over the whole
    sequence as one tape node. [input] holds the [steps·batch x n_in]
    input sequence, time-major (rows [t·batch .. t·batch + batch − 1]
    are step t). The forward is one matmul over all steps, then
    [layer_rows] per step, saving each step's stage voltages and tanh
-   values for the adjoint (DESIGN.md, "The pTPB adjoint"). *)
+   values for the adjoint. The adjoint walks the steps from the last
+   down, columns outer and rows inner, and allocates nothing per step
+   (DESIGN.md, "The pTPB adjoint"). *)
 let layer_node ~out ~batch ~steps lv input =
   let k = kernel_of_vars lv in
   let x = Var.value input in
@@ -303,108 +315,171 @@ let layer_node ~out ~batch ~steps lv input =
   in
   let backward g =
     let module BA = Bigarray.Array1 in
-    (* Output gradient of step t, [None] where the read-out ignores the
-       step (the tape then never reached that step's activation). *)
-    let gy =
-      match out with
-      | Sequence -> fun t -> Some (at g t)
-      | Readout Integrated ->
-          let gs = T.scale scale g in
-          fun _ -> Some gs
-      | Readout Last_step -> fun t -> if t = steps - 1 then Some g else None
-    in
-    (* Row-vector parents, one row each in the per-step column sums
-       [cs] and the accumulated gradients [acc], in [parents] order:
+    let n_in = T.cols x in
+    (* Row-vector parents, one row each of [acc], in [parents] order:
        bias_num, denominator, a_i and b_i per stage, e1..e4. *)
-    let j_a i = 2 + (2 * i) and j_b i = 3 + (2 * i) and j_e = 2 + (2 * ns) in
-    let n_rv = j_e + 4 in
-    let cs = T.zeros ~rows:n_rv ~cols:n and acc = T.zeros ~rows:n_rv ~cols:n in
-    let rv m j = T.rows_view m ~row:j ~len:1 in
-    let d_theta = T.zeros ~rows:(T.cols x) ~cols:n and tmp_theta = T.zeros ~rows:(T.cols x) ~cols:n in
+    let j_e = 2 + (2 * ns) in
+    let acc = T.zeros ~rows:(j_e + 4) ~cols:n and d_theta = T.zeros ~rows:n_in ~cols:n in
     (* [rec_.(i)] carries stage i's gradient from step t+1 through the
        recurrence (∂s_i(t+1) ∘ a_i); [gmm] is every step's gradient of
        the matmul output. *)
     let rec_ = Array.init ns (fun _ -> T.zeros ~rows:batch ~cols:n) in
     let gmm = seq () in
-    let coeff (t : T.t) = (t.T.data, t.T.off) in
-    let md = mm.T.data and thd = th.T.data and gmd = gmm.T.data and csd = cs.T.data in
-    let sd = Array.map (fun a -> a.T.data) s and rd = Array.map (fun a -> a.T.data) rec_ in
-    let v0 = Array.map (fun sr -> coeff sr.Filter_layer.v0) stage_reals in
-    let ad = Array.map (fun (a, _) -> coeff a) k.k_stages in
-    let bd = Array.map (fun (_, b) -> coeff b) k.k_stages in
-    let bsd, bso = coeff k.k_bias and ivd, ivo = coeff k.k_inv in
-    let e2d, e2o = coeff k.k_e2 and e3d, e3o = coeff k.k_e3 and e4d, e4o = coeff k.k_e4 in
-    for t = steps - 1 downto 0 do
-      T.fill cs 0.;
-      let gy_t = gy t in
-      let has_y = Option.is_some gy_t in
-      let gyd, gyo = match gy_t with Some v -> coeff v | None -> (thd, 0) in
-      for r = 0 to batch - 1 do
-        let o = ((t * batch) + r) * n and po = (((t - 1) * batch) + r) * n and ro = r * n in
-        for c = 0 to n - 1 do
-          (* Printable tanh: y = e1 + e2·tanh(u·e4), u = s_last − e3. *)
-          let ff = ref 0. in
-          if has_y then begin
-            let g = BA.unsafe_get gyd (gyo + ro + c) and h = BA.unsafe_get thd (o + c) in
-            bump csd ((j_e * n) + c) g;
-            bump csd (((j_e + 1) * n) + c) (g *. h);
-            let g_z = g *. BA.unsafe_get e2d (e2o + c) *. (1. -. (h *. h)) in
-            let u = BA.unsafe_get sd.(ns - 1) (o + c) +. -.BA.unsafe_get e3d (e3o + c) in
-            bump csd (((j_e + 3) * n) + c) (g_z *. u);
-            let g_u = g_z *. BA.unsafe_get e4d (e4o + c) in
-            bump csd (((j_e + 2) * n) + c) g_u;
-            ff := g_u
-          end;
-          (* Filter stages, output side first: s_i = s_i(t−1)·a_i + x_i·b_i. *)
-          for i = ns - 1 downto 0 do
-            let g =
-              if t = steps - 1 then !ff
-              else if has_y || i < ns - 1 then BA.unsafe_get rd.(i) (ro + c) +. !ff
-              else BA.unsafe_get rd.(i) (ro + c)
-            in
-            let s_prev =
-              if t = 0 then
-                let v0d, v0o = v0.(i) in
-                BA.unsafe_get v0d (v0o + c)
-              else BA.unsafe_get sd.(i) (po + c)
-            in
-            let x_in =
-              if i = 0 then
-                (BA.unsafe_get md (o + c) +. BA.unsafe_get bsd (bso + c))
-                *. BA.unsafe_get ivd (ivo + c)
-              else BA.unsafe_get sd.(i - 1) (o + c)
-            in
-            bump csd ((j_a i * n) + c) (g *. s_prev);
-            bump csd ((j_b i * n) + c) (g *. x_in);
-            let a_d, a_o = ad.(i) and b_d, b_o = bd.(i) in
-            BA.unsafe_set rd.(i) (ro + c) (g *. BA.unsafe_get a_d (a_o + c));
-            ff := g *. BA.unsafe_get b_d (b_o + c)
-          done;
-          (* Crossbar: v = (m + bias_num) / denominator. *)
-          let inv = BA.unsafe_get ivd (ivo + c) in
-          let v = (BA.unsafe_get md (o + c) +. BA.unsafe_get bsd (bso + c)) *. inv in
-          let g_m = !ff *. inv in
-          bump csd c g_m;
-          bump csd (n + c) (!ff *. v *. inv);
-          BA.unsafe_set gmd (o + c) g_m
+    (* Output gradient of step t: its block of the sequence gradient, or
+       the scaled read-out gradient. A Last_step read-out gives none
+       before the last step (the tape never reached those activations). *)
+    let gy =
+      match out with Readout Integrated -> T.scale scale g | Sequence | Readout Last_step -> g
+    in
+    let gy_off t = match out with Sequence -> gy.T.off + (t * batch * n) | Readout _ -> gy.T.off in
+    let has_y t =
+      match out with Readout Last_step -> t = steps - 1 | Sequence | Readout Integrated -> true
+    in
+    let md = mm.T.data and thd = th.T.data and gmd = gmm.T.data and gyd = gy.T.data in
+    let accd = acc.T.data and dtd = d_theta.T.data and xd = x.T.data in
+    (* dθ(i, c) of step t sums x[t,r,i]·g_m[r,c] over ascending rows
+       from +0.0, skipping zero inputs: the order and the skips of
+       [matmul (transpose x_t) g_t]. *)
+    let theta_column ~last t c =
+      for i = 0 to n_in - 1 do
+        let sum = ref 0. in
+        for r = (t * batch) to ((t + 1) * batch) - 1 do
+          let xv = BA.unsafe_get xd (x.T.off + (r * n_in) + i) in
+          if xv <> 0. then sum := !sum +. (xv *. BA.unsafe_get gmd ((r * n) + c))
+        done;
+        fold dtd ((i * n) + c) ~last !sum
+      done
+    in
+    (* Each column sum starts from +0.0 and adds rows in ascending order,
+       as the per-step [sum_rows] did. The denominator and e3 sums are
+       negated before the fold, like their per-step rules. *)
+    (match (k.k_stages, s, rec_) with
+    | [| (a1v, b1v); (a2v, b2v) |], [| s1; s2 |], [| r1; r2 |] ->
+        let s1d = s1.T.data and s2d = s2.T.data and r1d = r1.T.data and r2d = r2.T.data in
+        for t = steps - 1 downto 0 do
+          let last = t = steps - 1 and first = t = 0 and has_y = has_y t and gyo = gy_off t in
+          for c = 0 to n - 1 do
+            let bias = col k.k_bias c and inv = col k.k_inv c in
+            let a1 = col a1v c and b1 = col b1v c and a2 = col a2v c and b2 = col b2v c in
+            let e2 = col k.k_e2 c and e3 = col k.k_e3 c and e4 = col k.k_e4 c in
+            let v01 = col stage_reals.(0).Filter_layer.v0 c in
+            let v02 = col stage_reals.(1).Filter_layer.v0 c in
+            let c_bias = ref 0. and c_den = ref 0. in
+            let c_a1 = ref 0. and c_b1 = ref 0. and c_a2 = ref 0. and c_b2 = ref 0. in
+            let c_e1 = ref 0. and c_e2 = ref 0. and c_e3 = ref 0. and c_e4 = ref 0. in
+            for r = 0 to batch - 1 do
+              let o = ((((t * batch) + r) * n) + c) and ro = (r * n) + c in
+              let po = o - (batch * n) in
+              (* Printable tanh: y = e1 + e2·tanh(u·e4), u = s_2 − e3. *)
+              let ff =
+                if has_y then begin
+                  let g = BA.unsafe_get gyd (gyo + ro) and h = BA.unsafe_get thd o in
+                  c_e1 := !c_e1 +. g;
+                  c_e2 := !c_e2 +. (g *. h);
+                  let g_z = g *. e2 *. (1. -. (h *. h)) in
+                  let u = BA.unsafe_get s2d o +. -.e3 in
+                  c_e4 := !c_e4 +. (g_z *. u);
+                  let g_u = g_z *. e4 in
+                  c_e3 := !c_e3 +. g_u;
+                  g_u
+                end
+                else 0.
+              in
+              (* Filter stages, output side first: s_i = s_i(t−1)·a_i + x_i·b_i. *)
+              let g2 =
+                if last then ff
+                else if has_y then BA.unsafe_get r2d ro +. ff
+                else BA.unsafe_get r2d ro
+              in
+              c_a2 := !c_a2 +. (g2 *. if first then v02 else BA.unsafe_get s2d po);
+              c_b2 := !c_b2 +. (g2 *. BA.unsafe_get s1d o);
+              BA.unsafe_set r2d ro (g2 *. a2);
+              let ff = g2 *. b2 in
+              let g1 = if last then ff else BA.unsafe_get r1d ro +. ff in
+              (* Crossbar: v = (m + bias_num) / denominator. *)
+              let v = (BA.unsafe_get md o +. bias) *. inv in
+              c_a1 := !c_a1 +. (g1 *. if first then v01 else BA.unsafe_get s1d po);
+              c_b1 := !c_b1 +. (g1 *. v);
+              BA.unsafe_set r1d ro (g1 *. a1);
+              let ff = g1 *. b1 in
+              let g_m = ff *. inv in
+              c_bias := !c_bias +. g_m;
+              c_den := !c_den +. (ff *. v *. inv);
+              BA.unsafe_set gmd o g_m
+            done;
+            (* Every step contributes to the crossbar and filter rows; the
+               activation rows only where the step has an output gradient. *)
+            fold accd c ~last !c_bias;
+            fold accd (n + c) ~last (-. !c_den);
+            fold accd ((2 * n) + c) ~last !c_a1;
+            fold accd ((3 * n) + c) ~last !c_b1;
+            fold accd ((4 * n) + c) ~last !c_a2;
+            fold accd ((5 * n) + c) ~last !c_b2;
+            if has_y then fold_activation accd ~n ~j_e c ~last !c_e1 !c_e2 !c_e3 !c_e4;
+            theta_column ~last t c
+          done
         done
-      done;
-      (* The denominator and e3 rows are negated after the column sum,
-         like their per-step rules, to stay bit-identical. *)
-      List.iter (fun j -> T.blit_into ~dst:(rv cs j) (T.neg (rv cs j))) [ 1; j_e + 2 ];
-      (* Every step contributes to the crossbar and filter rows; the
-         activation rows only where the step has an output gradient. *)
-      let started = t < steps - 1 in
-      for j = 0 to (if has_y then n_rv else j_e) - 1 do
-        combine ~started (rv acc j) (rv cs j)
-      done;
-      T.matmul_tn_into ~dst:tmp_theta (at x t) (at gmm t);
-      combine ~started d_theta tmp_theta
-    done;
+    | [| (a1v, b1v) |], [| s1 |], [| r1 |] ->
+        let s1d = s1.T.data and r1d = r1.T.data in
+        for t = steps - 1 downto 0 do
+          let last = t = steps - 1 and first = t = 0 and has_y = has_y t and gyo = gy_off t in
+          for c = 0 to n - 1 do
+            let bias = col k.k_bias c and inv = col k.k_inv c in
+            let a1 = col a1v c and b1 = col b1v c in
+            let e2 = col k.k_e2 c and e3 = col k.k_e3 c and e4 = col k.k_e4 c in
+            let v01 = col stage_reals.(0).Filter_layer.v0 c in
+            let c_bias = ref 0. and c_den = ref 0. and c_a1 = ref 0. and c_b1 = ref 0. in
+            let c_e1 = ref 0. and c_e2 = ref 0. and c_e3 = ref 0. and c_e4 = ref 0. in
+            for r = 0 to batch - 1 do
+              let o = ((((t * batch) + r) * n) + c) and ro = (r * n) + c in
+              let po = o - (batch * n) in
+              (* Printable tanh: y = e1 + e2·tanh(u·e4), u = s_1 − e3. *)
+              let ff =
+                if has_y then begin
+                  let g = BA.unsafe_get gyd (gyo + ro) and h = BA.unsafe_get thd o in
+                  c_e1 := !c_e1 +. g;
+                  c_e2 := !c_e2 +. (g *. h);
+                  let g_z = g *. e2 *. (1. -. (h *. h)) in
+                  let u = BA.unsafe_get s1d o +. -.e3 in
+                  c_e4 := !c_e4 +. (g_z *. u);
+                  let g_u = g_z *. e4 in
+                  c_e3 := !c_e3 +. g_u;
+                  g_u
+                end
+                else 0.
+              in
+              (* Filter stage: s_1 = s_1(t−1)·a_1 + x·b_1. *)
+              let g1 =
+                if last then ff
+                else if has_y then BA.unsafe_get r1d ro +. ff
+                else BA.unsafe_get r1d ro
+              in
+              (* Crossbar: v = (m + bias_num) / denominator. *)
+              let v = (BA.unsafe_get md o +. bias) *. inv in
+              c_a1 := !c_a1 +. (g1 *. if first then v01 else BA.unsafe_get s1d po);
+              c_b1 := !c_b1 +. (g1 *. v);
+              BA.unsafe_set r1d ro (g1 *. a1);
+              let ff = g1 *. b1 in
+              let g_m = ff *. inv in
+              c_bias := !c_bias +. g_m;
+              c_den := !c_den +. (ff *. v *. inv);
+              BA.unsafe_set gmd o g_m
+            done;
+            fold accd c ~last !c_bias;
+            fold accd (n + c) ~last (-. !c_den);
+            fold accd ((2 * n) + c) ~last !c_a1;
+            fold accd ((3 * n) + c) ~last !c_b1;
+            if has_y then fold_activation accd ~n ~j_e c ~last !c_e1 !c_e2 !c_e3 !c_e4;
+            theta_column ~last t c
+          done
+        done
+    | _ -> invalid_arg "Network.layer_node: a filter bank has one or two stages");
     let input_grad =
       if Var.requires_grad input then Some (T.matmul gmm (T.transpose k.k_theta)) else None
     in
-    Array.append [| input_grad; Some d_theta |] (Array.init n_rv (fun j -> Some (rv acc j)))
+    Array.append
+      [| input_grad; Some d_theta |]
+      (Array.init (j_e + 4) (fun j -> Some (T.rows_view acc ~row:j ~len:1)))
   in
   Var.custom value parents backward
 

@@ -291,31 +291,6 @@ let matmul_into ~dst a b =
     done
   end
 
-let matmul_tn_into ~dst a b =
-  if dst.data == a.data || dst.data == b.data then
-    invalid_arg "Tensor.matmul_tn_into: dst must not alias an input";
-  assert (a.rows = b.rows);
-  assert (dst.rows = a.cols && dst.cols = b.cols);
-  let kk = a.rows and m = a.cols and n = b.cols in
-  let ad = a.data and bd = b.data and dd = dst.data in
-  fill_range dd dst.off (m * n) 0.;
-  (* Element (i, c) accumulates a.(k).(i) · b.(k).(c) over ascending k,
-     skipping zero left factors — the order and the skips of
-     [matmul (transpose a) b]. *)
-  for i = 0 to m - 1 do
-    let ooff = dst.off + (i * n) in
-    for k = 0 to kk - 1 do
-      let av = A.unsafe_get ad (a.off + (k * m) + i) in
-      if av <> 0. then begin
-        let boff = b.off + (k * n) in
-        for c = 0 to n - 1 do
-          A.unsafe_set dd (ooff + c)
-            (A.unsafe_get dd (ooff + c) +. (av *. A.unsafe_get bd (boff + c)))
-        done
-      end
-    done
-  done
-
 let matmul a b =
   assert (a.cols = b.rows);
   let out = zeros ~rows:a.rows ~cols:b.cols in

@@ -126,13 +126,6 @@ val matmul_into : dst:t -> t -> t -> unit
     before reading the inputs, so aliasing would silently corrupt
     them). *)
 
-val matmul_tn_into : dst:t -> t -> t -> unit
-(** [matmul_tn_into ~dst a b] overwrites [dst] with [aᵀ × b] without
-    materializing the transpose — bit-identical to
-    [matmul (transpose a) b] (same per-element accumulation order). The
-    weight-gradient kernel of the training layer node. Raises
-    [Invalid_argument] when [dst] shares a buffer with [a] or [b]. *)
-
 val transpose : t -> t
 
 (** {1 Reductions} *)

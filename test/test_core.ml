@@ -1123,6 +1123,33 @@ let test_fused_matches_tape_at_paper_shape () =
   in
   Alcotest.(check bool) "bit-identical" true (fused_matches_tape c)
 
+(* Many rows at the paper's sequence length: the adjoint's column sums
+   add 48 rows per step, so a wrong row order or a wrong step order in
+   the fold shows in the last bits. Both filter orders, both read-outs. *)
+let test_fused_matches_tape_many_rows () =
+  List.iter
+    (fun (fc_arch, fc_readout) ->
+      let c =
+        {
+          fc_seed = 11;
+          fc_arch;
+          fc_readout;
+          fc_inputs = 1;
+          fc_batch = 48;
+          fc_time = 64;
+          fc_ste = false;
+          fc_antithetic = false;
+          fc_corr = false;
+        }
+      in
+      Alcotest.(check bool) (show_fused_case c) true (fused_matches_tape c))
+    [
+      (Network.Ptpnc, Network.Integrated);
+      (Network.Ptpnc, Network.Last_step);
+      (Network.Adapt, Network.Integrated);
+      (Network.Adapt, Network.Last_step);
+    ]
+
 (* Per-call tape cost of the MC objective must not grow with the sequence
    length: every layer of every draw is one node, whatever T is. *)
 let test_mc_loss_nodes_independent_of_length () =
@@ -1141,6 +1168,37 @@ let test_mc_loss_nodes_independent_of_length () =
   let n8, t8 = cost ~time:8 and n64, t64 = cost ~time:64 in
   Alcotest.(check int) "nodes created, T = 8 vs 64" n8 n64;
   Alcotest.(check int) "tape nodes recorded, T = 8 vs 64" t8 t64
+
+(* The adjoint allocates nothing per time step: the words one backward
+   pass of the MC objective allocates must not grow with T, for either
+   filter order. *)
+let test_backward_alloc_independent_of_length () =
+  List.iter
+    (fun arch ->
+      let model =
+        Model.Circuit (Network.create ~hidden:4 (Rng.create ~seed:3) arch ~inputs:1 ~classes:3)
+      in
+      let labels = [| 0; 1; 2; 0; 1 |] in
+      let words ~time =
+        let x = T.uniform (Rng.create ~seed:4) ~rows:5 ~cols:time ~lo:(-1.) ~hi:1. in
+        let loss =
+          Mc_loss.expected ~antithetic:true ~rng:(Rng.create ~seed:5) ~spec:(Variation.uniform 0.1)
+            ~n:2 model ~x ~labels
+        in
+        (* Start from an empty minor heap: a minor collection inside the
+           window skews the minor-word count. *)
+        Gc.minor ();
+        let minor0, promoted0, major0 = Gc.counters () in
+        Var.backward loss;
+        let minor1, promoted1, major1 = Gc.counters () in
+        List.iter Var.zero_grad (Model.params model);
+        (minor1 -. minor0) +. (major1 -. major0) -. (promoted1 -. promoted0)
+      in
+      let w8 = words ~time:8 and w64 = words ~time:64 in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: words allocated by backward, T = 8 vs 64" (Network.arch_name arch))
+        w8 w64)
+    [ Network.Ptpnc; Network.Adapt ]
 
 let () =
   Alcotest.run "pnc_core"
@@ -1219,8 +1277,12 @@ let () =
         [
           prop_fused_matches_tape;
           Alcotest.test_case "64 steps bit-identical" `Quick test_fused_matches_tape_at_paper_shape;
+          Alcotest.test_case "48 rows x 64 steps bit-identical" `Quick
+            test_fused_matches_tape_many_rows;
           Alcotest.test_case "tape nodes independent of T" `Quick
             test_mc_loss_nodes_independent_of_length;
+          Alcotest.test_case "backward allocation independent of T" `Quick
+            test_backward_alloc_independent_of_length;
         ] );
       ( "hardware",
         [
