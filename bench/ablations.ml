@@ -80,20 +80,22 @@ let train_with_readout ~readout split ~classes =
       ~classes
   in
   let x, y = Train.to_xy split.Dataset.train in
+  let steps = T.columns x in
   let params = Network.params net in
   let opt = Optimizer.adamw ~params () in
   let sched = Pnc_optim.Scheduler.plateau ~patience:12 ~init_lr:0.05 () in
   let xv, yv = Train.to_xy split.Dataset.valid in
+  let steps_v = T.columns xv in
   (try
      for _ = 1 to 180 do
        Optimizer.zero_grads opt;
-       let logits = Network.forward_readout ~readout ~draw:Variation.deterministic net x in
+       let logits = Network.forward ~readout ~draw:Variation.deterministic net steps in
        Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y);
        Optimizer.clip_grad_norm opt ~max_norm:5.;
        Optimizer.step opt ~lr:(Pnc_optim.Scheduler.lr sched);
        Network.clamp net;
        let vl =
-         Network.forward_readout ~readout ~draw:Variation.deterministic net xv |> fun l ->
+         Network.forward ~readout ~draw:Variation.deterministic net steps_v |> fun l ->
          T.get_scalar (Var.value (Pnc_autodiff.Loss.softmax_cross_entropy ~logits:l ~labels:yv))
        in
        match Pnc_optim.Scheduler.observe sched vl with
@@ -114,7 +116,8 @@ let readout_ablation () =
         let x, y = Train.to_xy split.Dataset.test in
         let pred =
           T.argmax_rows
-            (Var.value (Network.forward_readout ~readout ~draw:Variation.deterministic net x))
+            (Var.value
+               (Network.forward ~readout ~draw:Variation.deterministic net (T.columns x)))
         in
         Pnc_util.Stats.accuracy ~pred ~truth:y
       in
@@ -326,7 +329,8 @@ let artifact_microbench () =
     let net = Network.create ~hidden:6 rng Network.Adapt ~inputs:1 ~classes:3 in
     let x = Pnc_tensor.Tensor.uniform rng ~rows:64 ~cols:64 ~lo:(-1.) ~hi:1. in
     fun () ->
-      ignore (Network.forward ~draw:Pnc_core.Variation.deterministic net x)
+      ignore
+        (Network.forward ~draw:Pnc_core.Variation.deterministic net (Pnc_tensor.Tensor.columns x))
   in
   let tests =
     Test.make_grouped ~name:"artifact" ~fmt:"%s %s"

@@ -86,9 +86,15 @@ let bechamel_table2 cfg =
     clock;
   print_newline ()
 
+(* Classes of one no-grad evaluation of [net] under [draw]. *)
+let predict ?batch_size ?precision ~draw net x =
+  Pnc_tensor.Tensor.argmax_rows
+    (Pnc_core.Network.eval ?batch_size ?precision ~draws:(Pnc_core.Network.shared draw) net
+       (Pnc_tensor.Tensor.columns x))
+
 (* Tentpole benchmark: throughput of accuracy evaluation under
    variation — the Var-graph path (builds the full autodiff DAG per
-   draw) against the no-grad tensor fast path used by Model.predict /
+   draw) against the no-grad tensor fast path used by Model.eval /
    Mc_loss.expected_value. Also reports training epochs/s for
    context. *)
 let bench_eval_throughput cfg =
@@ -115,9 +121,11 @@ let bench_eval_throughput cfg =
   let eval_var =
     eval_with (fun ~draw ->
         Pnc_tensor.Tensor.argmax_rows
-          (Pnc_autodiff.Var.value (Pnc_core.Network.forward ~draw net x)))
+          (Pnc_autodiff.Var.value
+             (Pnc_core.Network.forward ~draw net (Pnc_tensor.Tensor.columns x))))
   in
-  let eval_fast = eval_with (fun ~draw -> Pnc_core.Network.predict ~draw net x) in
+  let whole = Pnc_tensor.Tensor.rows x in
+  let eval_fast = eval_with (fun ~draw -> predict ~batch_size:whole ~draw net x) in
   eval_var ();
   eval_fast ();
   let t_var = Pnc_util.Timer.time_mean ~repeats:3 eval_var in
@@ -147,12 +155,12 @@ let bench_eval_throughput cfg =
 
   (* Batched vs single-sample no-grad path. Three regimes over the same
      protocol:
-     - single-sample: one [forward_t] call per series — the scalar
+     - single-sample: one [eval] call per series — the scalar
        client loop the batched engine replaces. Evaluating one physical
        instance sample by sample forces the caller to replay the draw
        (copy the stream) for every series, so each call pays a full
        realization on top of the [1 x time] kernels.
-     - chunked block=1: [predict_batch ~batch_size:1] — realize once,
+     - chunked block=1: [eval ~batch_size:1] — realize once,
        then per-sample row blocks through the blocked kernels.
      - batched: the whole split as one block (t_fast above).
      All three produce bit-identical predictions (checked below); only
@@ -163,8 +171,7 @@ let bench_eval_throughput cfg =
         (* Same physical instance for every series: replay the draw's
            stream per call, as a scalar consumer must. *)
         let draw = Pnc_core.Variation.make_draw (Pnc_util.Rng.copy rng_draw) spec in
-        (Pnc_core.Network.predict ~draw net
-           (Pnc_tensor.Tensor.rows_view x ~row:i ~len:1)).(0))
+        (predict ~draw net (Pnc_tensor.Tensor.rows_view x ~row:i ~len:1)).(0))
   in
   let eval_scalar () =
     let r = Pnc_util.Rng.create ~seed:7 in
@@ -172,13 +179,13 @@ let bench_eval_throughput cfg =
       let pred = scalar_predict ~rng_draw:r in
       (* Advance the parent stream exactly like [make_draw] + realize
          does on the batched paths. *)
-      ignore (Pnc_core.Network.predict ~draw:(Pnc_core.Variation.make_draw r spec) net
+      ignore (predict ~draw:(Pnc_core.Variation.make_draw r spec) net
                 (Pnc_tensor.Tensor.rows_view x ~row:0 ~len:1));
       ignore (Pnc_util.Stats.accuracy ~pred ~truth:y)
     done
   in
   let eval_chunked =
-    eval_with (fun ~draw -> Pnc_core.Network.predict_batch ~batch_size:1 ~draw net x)
+    eval_with (fun ~draw -> predict ~batch_size:1 ~draw net x)
   in
   eval_scalar ();
   eval_chunked ();
@@ -193,14 +200,13 @@ let bench_eval_throughput cfg =
       let scalar = scalar_predict ~rng_draw:r1 in
       (* Advance r1's stream by one realization, like the other paths. *)
       ignore
-        (Pnc_core.Network.predict ~draw:(Pnc_core.Variation.make_draw r1 spec) net
+        (predict ~draw:(Pnc_core.Variation.make_draw r1 spec) net
            (Pnc_tensor.Tensor.rows_view x ~row:0 ~len:1));
-      let whole = Pnc_core.Network.predict ~draw:(Pnc_core.Variation.make_draw r2 spec) net x in
+      let all = predict ~batch_size:whole ~draw:(Pnc_core.Variation.make_draw r2 spec) net x in
       let chunked =
-        Pnc_core.Network.predict_batch ~batch_size:1
-          ~draw:(Pnc_core.Variation.make_draw r3 spec) net x
+        predict ~batch_size:1 ~draw:(Pnc_core.Variation.make_draw r3 spec) net x
       in
-      if scalar <> whole || chunked <> whole then ok := false
+      if scalar <> all || chunked <> all then ok := false
     done;
     !ok
   in
@@ -238,7 +244,7 @@ let bench_eval_throughput cfg =
      drift, not bit-identity: max |logit delta| against `Exact under
      the same draw, plus the prediction agreement rate. *)
   let eval_tier precision =
-    eval_with (fun ~draw -> Pnc_core.Network.predict_batch ~precision ~draw net x)
+    eval_with (fun ~draw -> predict ~precision ~draw net x)
   in
   let eval_exact_tier = eval_tier `Exact and eval_fast_tier = eval_tier `Fast in
   eval_exact_tier ();
@@ -247,8 +253,11 @@ let bench_eval_throughput cfg =
   let t_fast_tier = Pnc_util.Timer.time_mean ~repeats:3 eval_fast_tier in
   let drift, agree =
     let mk () = Pnc_core.Variation.make_draw (Pnc_util.Rng.create ~seed:7) spec in
-    let le = Pnc_core.Network.forward_batch_t ~precision:`Exact ~draw:(mk ()) net x in
-    let lf = Pnc_core.Network.forward_batch_t ~precision:`Fast ~draw:(mk ()) net x in
+    let logits precision =
+      Pnc_core.Network.eval ~precision ~draws:(Pnc_core.Network.shared (mk ())) net
+        (Pnc_tensor.Tensor.columns x)
+    in
+    let le = logits `Exact and lf = logits `Fast in
     let d = ref 0. in
     for r = 0 to rows - 1 do
       for c = 0 to Pnc_tensor.Tensor.cols le - 1 do

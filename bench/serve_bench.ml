@@ -5,7 +5,7 @@
    from hundreds of concurrent keep-alive connections for a fixed wall
    window, swapping the checkpoint mid-run to exercise hot reload under
    load. Every response is parity-checked bit-for-bit against offline
-   [Model.logits_batch_t] for the model version the daemon echoed; any
+   [Model.eval] for the model version the daemon echoed; any
    mismatch makes the process exit non-zero, so CI fails loudly.
 
    Knobs (environment):
@@ -49,7 +49,7 @@ let make_model seed =
 (* One logits row per input row via the offline batched engine — the
    truth the daemon must reproduce bit-for-bit. *)
 let offline model rows =
-  let y = Model.logits_batch_t model (T.of_rows rows) in
+  let y = Model.eval model (T.of_rows rows) in
   Array.init (T.rows y) (fun i -> T.row y i)
 
 let percentile sorted p =

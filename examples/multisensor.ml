@@ -13,9 +13,10 @@
    separates all three alone — the circuit has to fuse them, which is
    exactly what the input crossbar of the pTPB does.
 
-   The training loop here works directly on Network.forward_multi
-   (one [batch x 2] tensor per time step), showing the multivariate
-   API that Table-I experiments (univariate UCR) do not exercise.
+   The training loop here works directly on Network.forward and the
+   accuracy on Network.eval (one [batch x 2] tensor per time step),
+   showing the multivariate API that Table-I experiments (univariate
+   UCR) do not exercise.
 
    Run with: dune exec examples/multisensor.exe *)
 
@@ -74,8 +75,8 @@ let steps_of x =
           if c = 0 then gas.(k) else temp.(k)))
 
 let accuracy net steps y =
-  let logits = Network.forward_multi ~draw:Variation.deterministic net steps in
-  Pnc_util.Stats.accuracy ~pred:(T.argmax_rows (Var.value logits)) ~truth:y
+  let logits = Network.eval ~draws:(Network.shared Variation.deterministic) net steps in
+  Pnc_util.Stats.accuracy ~pred:(T.argmax_rows logits) ~truth:y
 
 let () =
   let rng = Rng.create ~seed:31 in
@@ -92,7 +93,7 @@ let () =
     Optimizer.zero_grads opt;
     (* variation-aware: a fresh ±10% physical sample per epoch *)
     let draw = Variation.make_draw vrng (Variation.uniform 0.1) in
-    let logits = Network.forward_multi ~draw net train_steps in
+    let logits = Network.forward ~draw net train_steps in
     let loss = Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y_train in
     Var.backward loss;
     Optimizer.clip_grad_norm opt ~max_norm:5.;

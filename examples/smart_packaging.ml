@@ -81,7 +81,7 @@ let () =
 
   (* Confusion matrix on the test set: what failure mode remains? *)
   let x, y = Train.to_xy split.Dataset.test in
-  let pred = Model.predict model x in
+  let pred = Pnc_tensor.Tensor.argmax_rows (Model.eval model x) in
   let cm = Pnc_util.Stats.confusion ~n_classes:3 ~pred ~truth:y in
   print_endline "confusion (rows = truth: intact, brief, repeated):";
   Array.iter

@@ -30,25 +30,13 @@ val grad_opt : t -> Pnc_tensor.Tensor.t option
 
 val requires_grad : t -> bool
 
-(** {1 No-grad mode}
-
-    Under {!with_no_grad}, every operation (and {!custom}) returns a
-    constant-like node — no parents recorded, nothing pushed on the
-    tape, [requires_grad] false — so evaluation-only code retains no
-    graph. The evaluation paths in [lib/core] run on plain tensors and
-    never build [Var] nodes; this mode only matters to callers that run
-    a training forward for its value. *)
-
-val no_grad : bool ref
-val with_no_grad : (unit -> 'a) -> 'a
-
 val nodes_created : unit -> int
 (** Total [Var] records ever created (monotonic counter). Used by tests
     to assert that evaluation fast paths allocate zero nodes. *)
 
 val tape_recorded : unit -> int
 (** Total nodes ever recorded on the backward tape (monotonic). Stays
-    flat under {!with_no_grad} and across pure-tensor evaluation. *)
+    flat across pure-tensor evaluation. *)
 
 (** {1 Leaves} *)
 
@@ -57,9 +45,6 @@ val param : Pnc_tensor.Tensor.t -> t
 
 val const : Pnc_tensor.Tensor.t -> t
 (** Non-trainable leaf (inputs, sampled variation factors, targets). *)
-
-val scalar : float -> t
-(** Constant [1 x 1] node. *)
 
 val zero_grad : t -> unit
 (** Reset the accumulated gradient of a leaf to zeros. *)
@@ -85,39 +70,23 @@ val add_rv : t -> t -> t
 
 (** {1 Unary} *)
 
-val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
 val tanh : t -> t
-val sigmoid : t -> t
-val relu : t -> t
-val exp : t -> t
-val log : t -> t
-(** Requires strictly positive values. *)
-
 val abs : t -> t
 (** Subgradient 0 at 0. *)
 
-val softplus : t -> t
-(** [log (1 + exp x)], numerically stable; used to keep physical
-    component values (resistances, capacitances) strictly positive. *)
-
 val sqr : t -> t
-val reciprocal : t -> t
 
 (** {1 Linear algebra and reductions} *)
 
 val matmul : t -> t -> t
-val transpose : t -> t
 val sum : t -> t
 (** Sum of all elements, as a [1 x 1] node. *)
 
 val mean : t -> t
 val sum_rows : t -> t
 (** [m x n -> 1 x n]. *)
-
-val concat_cols : t list -> t
-(** Horizontal concatenation of matrices with equal row counts. *)
 
 (** {1 Custom nodes} *)
 
@@ -144,6 +113,3 @@ val backward : t -> unit
     single reverse walk of the tape — no per-call reachability
     collection or sort. Multiple calls accumulate; call {!zero_grad} on
     the leaves between steps. *)
-
-val n_nodes : t -> int
-(** Number of distinct nodes reachable from [t] (diagnostics). *)

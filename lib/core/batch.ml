@@ -1,12 +1,13 @@
 (* Batch-size resolution and telemetry for the batched no-grad
    evaluation path (see docs/BATCHING.md).
 
-   The block size is a pure performance knob: every batched forward
+   The block size is a pure performance knob: every evaluation
    realizes the variation draw once and then chunks the batch through
    row views, so results are bit-identical for any block size. That is
    why the knob deliberately stays out of Config.fingerprint — grid
    cache entries remain valid whatever ADAPT_PNC_BATCH is set to. *)
 
+module T = Pnc_tensor.Tensor
 module Obs = Pnc_obs.Obs
 module Clock = Pnc_obs.Clock
 
@@ -46,24 +47,6 @@ let resolve ?batch_size ~n () =
       match env_default () with
       | Some b -> Stdlib.min b (Stdlib.max 1 n)
       | None -> Stdlib.max 1 n)
-
-let start () = if Obs.enabled () then Clock.now () else 0.
-
-let record ~block ~rows ~blocks ~t0 =
-  Obs.Counter.add samples_counter rows;
-  Obs.Counter.add blocks_counter blocks;
-  if Obs.enabled () then begin
-    let dt = Clock.elapsed t0 in
-    Obs.Histogram.observe seconds_hist dt;
-    Obs.emit "eval.batch"
-      [
-        ("batch_size", Obs.Int block);
-        ("rows", Obs.Int rows);
-        ("blocks", Obs.Int blocks);
-        ("seconds", Obs.Float dt);
-        ("rows_per_s", Obs.Float (float_of_int rows /. Float.max dt 1e-9));
-      ]
-  end
 
 (* Precision-tier resolution for entry points (CLI, serve, bench,
    Config.from_env). Unlike the batch-size knob, precision CAN change
@@ -107,13 +90,31 @@ let resolve_precision ?precision () =
   | Some p -> p
   | None -> ( match precision_env_default () with Some p -> p | None -> `Exact)
 
-let chunked ~rows ~block f =
-  let blocks = ref 0 in
-  let r0 = ref 0 in
-  while !r0 < rows do
-    let len = Stdlib.min block (rows - !r0) in
-    f ~row:!r0 ~len;
+(* Each block's logits land in their rows of the result; the telemetry
+   accounts the whole call. *)
+let eval_blocks ?batch_size ~rows ~cols f =
+  let block = resolve ?batch_size ~n:rows () in
+  let t0 = if Obs.enabled () then Clock.now () else 0. in
+  let out = T.zeros ~rows ~cols in
+  let blocks = ref 0 and row = ref 0 in
+  while !row < rows do
+    let len = Stdlib.min block (rows - !row) in
+    T.blit_into ~dst:(T.rows_view out ~row:!row ~len) (f ~row:!row ~len);
     incr blocks;
-    r0 := !r0 + len
+    row := !row + len
   done;
-  !blocks
+  Obs.Counter.add samples_counter rows;
+  Obs.Counter.add blocks_counter !blocks;
+  if Obs.enabled () then begin
+    let dt = Clock.elapsed t0 in
+    Obs.Histogram.observe seconds_hist dt;
+    Obs.emit "eval.batch"
+      [
+        ("batch_size", Obs.Int block);
+        ("rows", Obs.Int rows);
+        ("blocks", Obs.Int !blocks);
+        ("seconds", Obs.Float dt);
+        ("rows_per_s", Obs.Float (float_of_int rows /. Float.max dt 1e-9));
+      ]
+  end;
+  out

@@ -1,7 +1,7 @@
-(** Batch-size resolution and telemetry for the batched no-grad
-    evaluation path.
+(** Batch-size resolution, the block loop and telemetry for the
+    no-grad evaluation path.
 
-    Every [*_batch_t] forward takes a [?batch_size] knob resolved here:
+    Every model's [eval] takes a [?batch_size] knob resolved here:
     an explicit argument wins, otherwise the [ADAPT_PNC_BATCH]
     environment variable (a positive integer), otherwise the whole
     split runs as one block. The knob only chooses how many rows each
@@ -47,16 +47,17 @@ val resolve_precision : ?precision:precision -> unit -> precision
     library functions default to [`Exact] unconditionally, and every
     Fast run is recorded in {!Pnc_exp.Config.fingerprint}. *)
 
-val chunked : rows:int -> block:int -> (row:int -> len:int -> unit) -> int
-(** [chunked ~rows ~block f] calls [f] once per consecutive row block
-    (the final block may be ragged) and returns the block count. *)
-
-val start : unit -> float
-(** Clock origin for {!record}; reads the clock only when the
-    observability sink is enabled. *)
-
-val record : block:int -> rows:int -> blocks:int -> t0:float -> unit
-(** Account one batched forward: bumps the [eval.batch.samples] /
-    [eval.batch.blocks] counters (always), and — with an enabled sink —
-    observes [eval.batch_seconds] and emits an [eval.batch] event with
-    the throughput. *)
+val eval_blocks :
+  ?batch_size:int ->
+  rows:int ->
+  cols:int ->
+  (row:int -> len:int -> Pnc_tensor.Tensor.t) ->
+  Pnc_tensor.Tensor.t
+(** [eval_blocks ?batch_size ~rows ~cols f] is the block loop of every
+    [eval]: it resolves the block size ({!resolve}), calls [f ~row ~len]
+    once per consecutive row block (the final block may be ragged),
+    copies each returned [len x cols] result into its rows of a fresh
+    [rows x cols] tensor, and accounts the call — it bumps the
+    [eval.batch.samples] / [eval.batch.blocks] counters (always) and,
+    with an enabled sink, observes [eval.batch_seconds] and emits an
+    [eval.batch] event with the throughput. *)

@@ -16,10 +16,11 @@ let bias_params net =
 let trim ?(epochs = 60) ?(lr = 0.02) ~chip net dataset =
   let x, y = Train.to_xy dataset in
   let params = bias_params net in
+  let steps = T.columns x in
   let opt = Optimizer.adam ~params () in
   for _ = 1 to epochs do
     Optimizer.zero_grads opt;
-    let logits = Network.forward ~draw:(chip ()) net x in
+    let logits = Network.forward ~draw:(chip ()) net steps in
     Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y);
     Optimizer.step opt ~lr;
     Network.clamp net
@@ -29,7 +30,7 @@ type outcome = { before : float; after : float }
 
 let chip_accuracy ~chip net dataset =
   let x, y = Train.to_xy dataset in
-  let pred = T.argmax_rows (Var.value (Network.forward ~draw:(chip ()) net x)) in
+  let pred = T.argmax_rows (Network.eval ~draws:(Network.shared (chip ())) net (T.columns x)) in
   Pnc_util.Stats.accuracy ~pred ~truth:y
 
 let evaluate ?epochs ?lr ~chip net ~calibration ~test =

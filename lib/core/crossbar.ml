@@ -74,32 +74,7 @@ let realize_t ~draw cb =
     inv_den_t = T.map (fun x -> 1. /. x) den;
   }
 
-let apply_t_into ~dst real x =
-  T.matmul_into ~dst x real.theta_eff_t;
-  T.add_mul_rv_inplace dst ~add:real.bias_num_t ~mul:real.inv_den_t
-
 let kernel_t real = (real.theta_eff_t, real.bias_num_t, real.inv_den_t)
-
-(* Batched twin: the response of each input row is independent of every
-   other row (one matmul row + row-broadcast bias/denominator), so
-   chunking the batch through zero-copy row views is bit-identical to
-   one whole-batch [apply_t_into] for any [block]. *)
-let apply_batch_t ?block real x =
-  let rows = T.rows x in
-  let out = T.zeros ~rows ~cols:(T.cols real.theta_eff_t) in
-  let b =
-    match block with Some b when b > 0 -> Stdlib.min b rows | _ -> rows
-  in
-  let r0 = ref 0 in
-  while !r0 < rows do
-    let len = Stdlib.min b (rows - !r0) in
-    apply_t_into
-      ~dst:(T.rows_view out ~row:!r0 ~len)
-      real
-      (T.rows_view x ~row:!r0 ~len);
-    r0 := !r0 + len
-  done;
-  out
 
 let theta_values cb = T.copy (Var.value cb.theta)
 let bias_values cb = T.copy (Var.value cb.theta_b)

@@ -47,21 +47,13 @@ type realization_t
 
 val realize_t : draw:Variation.draw -> t -> realization_t
 
-val apply_t_into : dst:Pnc_tensor.Tensor.t -> realization_t -> Pnc_tensor.Tensor.t -> unit
-(** Writes the [batch x outputs] crossbar response into [dst]
-    (allocation-free; [dst] must not alias the input). *)
-
-val apply_batch_t : ?block:int -> realization_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Batched twin of {!apply_t_into}: maps [batch x inputs] to
-    [batch x outputs] block of rows at a time (default: one block)
-    through zero-copy row views — bit-identical for any [block]. *)
-
 val kernel_t :
   realization_t -> Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
 (** [(theta_eff, bias_num, 1/denominator)] — the raw coefficient
-    tensors backing {!apply_t_into}, exposed so {!Network} can fuse the
-    bias-plus-normalization step into its single-pass layer kernel.
-    Read-only views; mutating them voids the parity guarantees. *)
+    tensors of the per-step map [(x·theta_eff + bias_num) / denominator],
+    exposed so {!Network} can fuse the bias-plus-normalization step into
+    its single-pass layer kernel. Read-only views; mutating them voids
+    the parity guarantees. *)
 
 val sample_eps : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
 (** One joint ε sample (theta, bias) matching this crossbar's shape. *)

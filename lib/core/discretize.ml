@@ -63,7 +63,11 @@ let accuracy_ladder ~levels_list net dataset =
     (fun levels ->
       let acc =
         with_quantized ~levels net (fun () ->
-            Pnc_util.Stats.accuracy ~pred:(Network.predict net x) ~truth:y)
+            let logits =
+              Network.eval ~draws:(Network.shared Variation.deterministic) net
+                (Pnc_tensor.Tensor.columns x)
+            in
+            Pnc_util.Stats.accuracy ~pred:(Pnc_tensor.Tensor.argmax_rows logits) ~truth:y)
       in
       (levels, acc))
     levels_list

@@ -18,39 +18,19 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 
 val n_params : t -> int
 
-val forward : t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
-(** [batch x time] univariate series to [batch x classes] logits
-    (linear read-out of the final hidden state). *)
+val forward : t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
+(** The training forward: time-major [steps] (one [batch x inputs]
+    tensor per time step) to [batch x classes] logits (linear read-out
+    of the final hidden state). *)
 
-val forward_multi : t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
-
-val forward_t : t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Pure-tensor forward (no autodiff nodes); bit-identical logits. *)
-
-val forward_multi_t :
+val eval :
+  ?batch_size:int ->
   ?precision:[ `Exact | `Fast ] ->
   t ->
   Pnc_tensor.Tensor.t array ->
   Pnc_tensor.Tensor.t
-
-val forward_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-(** Batched twin of {!forward_t} ([?batch_size] resolved by
-    {!Batch.resolve}); bit-identical logits for any batch size under
-    [`Exact] (the default). [`Fast] substitutes
+(** The evaluation forward: {!forward}'s logits on plain tensors, with
+    no autodiff nodes. [?batch_size] is resolved by {!Batch.resolve};
+    the logits are bit-identical to the Var path for any batch size
+    under [`Exact] (the default). [`Fast] substitutes
     {!Pnc_tensor.Fast_math.tanh} for the cell activations. *)
-
-val predict : t -> Pnc_tensor.Tensor.t -> int array
-(** Runs on the tensor fast path. *)
-
-val predict_batch :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  int array
-(** {!predict} on the batched path. *)

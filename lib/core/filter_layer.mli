@@ -60,7 +60,7 @@ val realize_t : draw:Variation.draw -> t -> realization_t
 
 type state_t = Pnc_tensor.Tensor.t array
 (** One [batch x features] voltage tensor per stage, mutated in place
-    by {!step_t}. *)
+    by {!Network}'s layer kernel. *)
 
 type state_init = [ `V0 | `Zero | `Gaussian of Pnc_util.Rng.t * float ]
 (** Initial-voltage semantics for a fresh (or reused) state:
@@ -81,27 +81,17 @@ val reset_state_t : ?init:state_init -> realization_t -> state_t -> unit
     reset followed by row-sliced views is bit-identical to resetting
     each slice in turn only under [`V0]/[`Zero]; under [`Gaussian] the
     stream order makes the {e full-batch} reset the canonical one (the
-    batched forwards pre-draw full states for exactly this reason). *)
+    network evaluation pre-draws full states for exactly this reason). *)
 
 val init_state_t : ?init:state_init -> realization_t -> batch:int -> state_t
 (** Allocate and fill a fresh state; [init] defaults to [`V0], making
     this bit-identical to the historical entry point. *)
 
-val step_t : realization_t -> state_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Advances the state in place and returns the last stage's voltages
-    (an alias of the state, valid until the next step). *)
-
-val step_batch_t :
-  ?block:int -> realization_t -> state_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Batched twin of {!step_t}: advances the state block of rows at a
-    time (default: one block) through zero-copy row views —
-    bit-identical for any [block]. *)
-
 val kernel_t :
   realization_t -> (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array
-(** Per-stage [(a, b)] coefficient rows backing {!step_t} (the state
-    update is [s' = s ∘ a + x ∘ b]), exposed so {!Network} can fuse the
-    stage updates into its single-pass layer kernel. Read-only views. *)
+(** Per-stage [(a, b)] coefficient rows (the state update is
+    [s' = s ∘ a + x ∘ b]), exposed so {!Network} can fuse the stage
+    updates into its single-pass layer kernel. Read-only views. *)
 
 (** {1 Physical values} *)
 

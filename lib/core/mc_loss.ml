@@ -105,7 +105,7 @@ let expected ?(antithetic = false) ?(ni = false) ~rng ~spec ~n model ~x ~labels 
    nodes — which also makes it safe to distribute over a domain pool. *)
 let value_of_draw ?batch_size ?precision ~draw model ~x ~labels =
   Loss.cross_entropy_value
-    ~logits:(Model.logits_batch_t ?batch_size ?precision ~draw model x)
+    ~logits:(Model.eval ?batch_size ?precision ~draw model x)
     ~labels
 
 let one_sample_value ?batch_size ?precision ~rng ~spec model ~x ~labels =

@@ -12,25 +12,17 @@ let named_params = function
 let n_params = function Circuit net -> Network.n_params net | Reference m -> Elman.n_params m
 
 let logits ?(draw = Variation.deterministic) t x =
+  let steps = Pnc_tensor.Tensor.columns x in
   match t with
-  | Circuit net -> Network.forward ~draw net x
-  | Reference m -> Elman.forward m x
+  | Circuit net -> Network.forward ~draw net steps
+  | Reference m -> Elman.forward m steps
 
-let logits_t ?(draw = Variation.deterministic) t x =
+let eval ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t x =
+  let steps = Pnc_tensor.Tensor.columns x in
   match t with
-  | Circuit net -> Network.forward_t ~draw net x
-  | Reference m -> Elman.forward_t m x
-
-let logits_batch_t ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t x =
-  match t with
-  | Circuit net -> Network.forward_batch_t ?batch_size ?precision ?state_init ~draw net x
-  | Reference m -> Elman.forward_batch_t ?batch_size ?precision m x
-
-let predict ?(draw = Variation.deterministic) t x =
-  Pnc_tensor.Tensor.argmax_rows (logits_t ~draw t x)
-
-let predict_batch ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t x =
-  Pnc_tensor.Tensor.argmax_rows (logits_batch_t ?batch_size ?precision ?state_init ~draw t x)
+  | Circuit net ->
+      Network.eval ?batch_size ?precision ?state_init ~draws:(Network.shared draw) net steps
+  | Reference m -> Elman.eval ?batch_size ?precision m steps
 
 let clamp = function Circuit net -> Network.clamp net | Reference _ -> ()
 let is_circuit = function Circuit _ -> true | Reference _ -> false

@@ -16,14 +16,11 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 val n_params : t -> int
 
 val logits : ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
-(** [batch x time] to [batch x classes]. The draw is meaningful only
-    for circuit models (the RNN has no physical components). *)
+(** The training forward: [batch x time] to [batch x classes]. The
+    draw is meaningful only for circuit models (the RNN has no physical
+    components). *)
 
-val logits_t : ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Pure-tensor logits (no autodiff nodes); bit-identical to
-    [Var.value (logits ...)] under the same draw. *)
-
-val logits_batch_t :
+val eval :
   ?batch_size:int ->
   ?precision:[ `Exact | `Fast ] ->
   ?state_init:Filter_layer.state_init ->
@@ -31,29 +28,18 @@ val logits_batch_t :
   t ->
   Pnc_tensor.Tensor.t ->
   Pnc_tensor.Tensor.t
-(** Batched twin of {!logits_t}: the draw is realized once and the
-    batch runs through it block of rows at a time ([?batch_size]
-    resolved by {!Batch.resolve} — explicit argument, else
-    [ADAPT_PNC_BATCH], else one block). Bit-identical to {!logits_t}
-    for every batch size under [`Exact] (the default); [`Fast]
+(** The evaluation forward: {!logits} on plain tensors, with no
+    autodiff nodes — bit-identical to [Var.value (logits ...)] under
+    the same draw for every batch size under [`Exact] (the default).
+    The draw is realized once and the batch runs through it block of
+    rows at a time ([?batch_size] resolved by {!Batch.resolve} —
+    explicit argument, else [ADAPT_PNC_BATCH], else one block); [`Fast]
     substitutes {!Pnc_tensor.Fast_math.tanh} (≤1e-7 absolute tanh
     error) for the activation transcendentals. [state_init] selects
     the filter initial-voltage semantics (default [`V0]; batch-size
-    invariant under every value — see {!Network.forward_batch_t});
-    ignored by the reference RNN, which has no filter state. *)
-
-val predict : ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> int array
-(** Runs on the tensor fast path. *)
-
-val predict_batch :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
-  ?draw:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  int array
-(** {!predict} on the batched path. *)
+    invariant under every value — see {!Network.eval}); ignored by the
+    reference RNN, which has no filter state. Classes are
+    [Pnc_tensor.Tensor.argmax_rows (eval ...)]. *)
 
 val clamp : t -> unit
 (** Printable-window projection; no-op for the reference RNN. *)

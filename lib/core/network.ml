@@ -201,15 +201,15 @@ type layer_vars = {
   act : Ptanh.realization;
 }
 
-let realize_layers ~draw_crossbar ~draw_filter ~draw_act net =
+let realize_layers ~draw net =
   List.map
     (fun (cb, fl, act) ->
       (* Explicit sampling order — filters, activation, crossbar. The
          tensor path below must consume the draws' random streams in
          exactly this order for realization parity. *)
-      let filt = Filter_layer.realize ~draw:draw_filter fl in
-      let act = Ptanh.realize ~draw:draw_act act in
-      let cb = Crossbar.realize ~draw:draw_crossbar cb in
+      let filt = Filter_layer.realize ~draw fl in
+      let act = Ptanh.realize ~draw act in
+      let cb = Crossbar.realize ~draw cb in
       { cb; filt; act })
     net.layers
 
@@ -491,10 +491,10 @@ let stack_steps steps =
   Array.iteri (fun t x_t -> T.blit_into ~dst:(T.rows_view seq ~row:(t * batch) ~len:batch) x_t) steps;
   seq
 
-let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net steps =
+let forward ?(readout = Integrated) ~draw net steps =
   assert (Array.length steps > 0);
   let batch = T.rows steps.(0) and n_steps = Array.length steps in
-  let layers = realize_layers ~draw_crossbar ~draw_filter ~draw_act net in
+  let layers = realize_layers ~draw net in
   let last = List.length layers - 1 in
   let signal = ref (Var.const (stack_steps steps)) in
   List.iteri
@@ -504,31 +504,22 @@ let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net ste
     layers;
   !signal
 
-let forward_readout ~readout ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_readout ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_multi ~draw net steps =
-  forward_multi_readout ~readout:Integrated ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw
-    net steps
-
-let forward ~draw net x =
-  let time = T.cols x in
-  let steps = Array.init time (fun k -> T.col x k) in
-  forward_multi ~draw net steps
-
-(* Pure-tensor forward for evaluation: same sampling order and same
-   floating-point operation sequence as the Var path, but no autodiff
-   nodes are allocated and the per-step kernels run in preallocated
-   buffers. Logits are bit-identical to [forward] under the same
-   draw(s).
+(* Evaluation: same sampling order and same floating-point operation
+   sequence as [forward], but no autodiff nodes are allocated and the
+   per-step kernels run in preallocated buffers. Logits are
+   bit-identical to [forward] under the same draw.
 
    Realization (the RNG-consuming part) is separated from the per-block
-   workspace (state + scratch buffers): the batched forwards below
-   realize ONCE per draw and then chunk the batch through zero-copy row
-   views, which is what makes the block size a pure performance knob —
-   every block sees the same physical circuit instance, so results are
-   bit-identical for any batch size. *)
+   workspace: [eval] realizes ONCE per call and draws the full-batch
+   filter states, then chunks the batch through zero-copy row views,
+   which is what makes the block size a pure performance knob — every
+   block sees the same physical circuit instance and its own rows of
+   the same initial state, so results are bit-identical for any batch
+   size. *)
+type draws = { crossbar : Variation.draw; filter : Variation.draw; act : Variation.draw }
+
+let shared draw = { crossbar = draw; filter = draw; act = draw }
+
 type layer_real_t = {
   cb_t : Crossbar.realization_t;
   filt_t : Filter_layer.realization_t;
@@ -536,14 +527,14 @@ type layer_real_t = {
   n_out : int;
 }
 
-let realize_net_t ~draw_crossbar ~draw_filter ~draw_act net =
+let realize_net_t draws net =
   List.map
     (fun (cb, fl, act) ->
       (* Same sampling order as the Var path: filters, activation,
          crossbar. *)
-      let filt_t = Filter_layer.realize_t ~draw:draw_filter fl in
-      let act_t = Ptanh.realize_t ~draw:draw_act act in
-      let cb_t = Crossbar.realize_t ~draw:draw_crossbar cb in
+      let filt_t = Filter_layer.realize_t ~draw:draws.filter fl in
+      let act_t = Ptanh.realize_t ~draw:draws.act act in
+      let cb_t = Crossbar.realize_t ~draw:draws.crossbar cb in
       { cb_t; filt_t; act_t; n_out = Crossbar.outputs cb })
     net.layers
 
@@ -562,28 +553,18 @@ let make_kernel real =
   }
 
 type layer_ws = {
-  real : layer_real_t;
   kern : layer_kernel;
   filt_state_t : Filter_layer.state_t;
   cb_out : T.t;
   act_out : T.t;
 }
 
-(* [states], when given, hands each layer a pre-initialized filter
-   state for this block (usually row views of a full-batch state) —
-   the batched forwards use it to keep [`Gaussian] initial-state draws
-   independent of the block size. Otherwise a fresh state is drawn
-   here with [init] semantics. *)
-let make_ws ?(init = `V0) ?states ~batch reals =
-  let states =
-    match states with
-    | Some sts -> sts
-    | None -> List.map (fun real -> Filter_layer.init_state_t ~init real.filt_t ~batch) reals
-  in
+(* One block's workspace: each layer's kernel, the block's rows of its
+   filter state, and its per-step scratch. *)
+let make_ws ~batch reals states =
   List.map2
     (fun real st ->
       {
-        real;
         kern = make_kernel real;
         filt_state_t = st;
         cb_out = T.zeros ~rows:batch ~cols:real.n_out;
@@ -602,103 +583,32 @@ let fused_step_layer ~fast lr x =
   lr.act_out
 
 (* Run one block of rows through all time steps against an already
-   realized circuit instance. *)
-let forward_block ?(precision = `Exact) ?(state_init = `V0) ?states ~readout ~classes reals
-    steps =
+   realized circuit instance, integrating the output over time. *)
+let forward_block ~precision ~states ~classes reals steps =
   let fast = match precision with `Fast -> true | `Exact -> false in
   let batch = T.rows steps.(0) in
-  let ws = make_ws ~init:state_init ?states ~batch reals in
+  let ws = make_ws ~batch reals states in
   let acc = T.zeros ~rows:batch ~cols:classes in
-  let last = ref acc in
   Array.iter
     (fun x_t ->
       let signal = ref x_t in
       List.iter (fun lr -> signal := fused_step_layer ~fast lr !signal) ws;
-      (match readout with
-      | Integrated -> T.add_inplace acc !signal
-      | Last_step -> ());
-      last := !signal)
+      T.add_inplace acc !signal)
     steps;
-  match readout with
-  | Integrated -> T.scale (1. /. float_of_int (Array.length steps)) acc
-  | Last_step -> T.copy !last
+  T.scale (1. /. float_of_int (Array.length steps)) acc
 
-let forward_multi_readout_t ?state_init ~readout ~draw_crossbar ~draw_filter ~draw_act net
-    steps =
-  assert (Array.length steps > 0);
-  let reals = realize_net_t ~draw_crossbar ~draw_filter ~draw_act net in
-  forward_block ?state_init ~readout ~classes:net.n_classes reals steps
-
-let forward_multi_readout_batch_t ?batch_size ?precision ?(state_init = `V0) ~readout
-    ~draw_crossbar ~draw_filter ~draw_act net steps =
+let eval ?batch_size ?(precision = `Exact) ?(state_init = `V0) ~draws net steps =
   assert (Array.length steps > 0);
   let rows = T.rows steps.(0) in
-  let block = Batch.resolve ?batch_size ~n:rows () in
-  let reals = realize_net_t ~draw_crossbar ~draw_filter ~draw_act net in
-  (* Under [`Gaussian] the initial-state draws must not depend on the
-     block size: pre-draw the full-batch states once and hand each
-     block its row slice. [`V0] keeps the historical per-block init
-     (bit-identical, and row-independent anyway); [`Zero] rides the
-     same pre-draw path — it is row-independent too, so slicing
-     changes nothing. *)
-  let full_states =
-    match state_init with
-    | `V0 -> None
-    | init ->
-        Some
-          (List.map (fun real -> Filter_layer.init_state_t ~init real.filt_t ~batch:rows) reals)
+  let reals = realize_net_t draws net in
+  let states =
+    List.map (fun real -> Filter_layer.init_state_t ~init:state_init real.filt_t ~batch:rows) reals
   in
-  let t0 = Batch.start () in
-  let out = T.zeros ~rows ~cols:net.n_classes in
-  let blocks =
-    Batch.chunked ~rows ~block (fun ~row ~len ->
-        let sub = Array.map (fun s -> T.rows_view s ~row ~len) steps in
-        let states =
-          Option.map (List.map (Array.map (fun s -> T.rows_view s ~row ~len))) full_states
-        in
-        let logits = forward_block ?precision ?states ~readout ~classes:net.n_classes reals sub in
-        T.blit_into ~dst:(T.rows_view out ~row ~len) logits)
-  in
-  Batch.record ~block ~rows ~blocks ~t0;
-  out
-
-let forward_multi_selective_t ~draw_crossbar ~draw_filter ~draw_act net steps =
-  forward_multi_readout_t ~readout:Integrated ~draw_crossbar ~draw_filter ~draw_act net steps
-
-let forward_multi_t ~draw net steps =
-  forward_multi_selective_t ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps =
-  forward_multi_readout_batch_t ?batch_size ?precision ?state_init ~readout:Integrated
-    ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_selective_t ~draw_crossbar ~draw_filter ~draw_act net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_selective_t ~draw_crossbar ~draw_filter ~draw_act net steps
-
-let forward_selective_batch_t ?batch_size ?precision ~draw_crossbar ~draw_filter ~draw_act
-    net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_readout_batch_t ?batch_size ?precision ~readout:Integrated ~draw_crossbar
-    ~draw_filter ~draw_act net steps
-
-let forward_readout_t ~readout ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_readout_t ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net
-    steps
-
-let forward_t ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_t ~draw net steps
-
-let forward_batch_t ?batch_size ?precision ?state_init ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps
-
-let predict ?(draw = Variation.deterministic) net x = T.argmax_rows (forward_t ~draw net x)
-
-let predict_batch ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) net x =
-  T.argmax_rows (forward_batch_t ?batch_size ?precision ?state_init ~draw net x)
+  Batch.eval_blocks ?batch_size ~rows ~cols:net.n_classes (fun ~row ~len ->
+      let view s = T.rows_view s ~row ~len in
+      forward_block ~precision
+        ~states:(List.map (Array.map view) states)
+        ~classes:net.n_classes reals (Array.map view steps))
 
 let clamp net =
   List.iter

@@ -10,7 +10,9 @@
       (SO-LF), trained variation-aware.
 
     The network processes a univariate (or multivariate) series one
-    step at a time; class scores are the time-integrated outputs. *)
+    step at a time; class scores are the time-integrated outputs. Each
+    network has one training forward ({!forward}, on the autodiff tape)
+    and one evaluation forward ({!eval}, on plain tensors). *)
 
 type arch = Ptpnc | Adapt
 
@@ -40,14 +42,20 @@ val n_params : t -> int
 val layers : t -> (Crossbar.t * Filter_layer.t * Ptanh.t) list
 (** In order, for hardware costing and inspection. *)
 
-val forward : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
-(** [forward ~draw net x] runs the batch of series [x]
-    ([batch x time], univariate) and returns the logits
-    [batch x classes]: the time-average of the output voltages —
+type readout = Integrated | Last_step
+
+val forward :
+  ?readout:readout -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
+(** The training forward. [forward ~draw net steps] runs the
+    time-major [steps] (one [batch x inputs] tensor per time step; a
+    [batch x time] univariate series is {!Pnc_tensor.Tensor.columns})
+    and returns the logits [batch x classes]. The default read-out,
+    [Integrated], is the time-average of the output voltages —
     physically an RC integrator per class output (accounted for by
-    {!Hardware}). One component sample is
-    drawn per call and shared across all time steps — the circuit is
-    the same physical device throughout the sequence.
+    {!Hardware}); [Last_step] reads the final instant only, for the
+    read-out ablation bench. One component sample is drawn per call
+    and shared across all time steps — the circuit is the same physical
+    device throughout the sequence.
 
     Each layer records one tape node for the whole sequence, with a
     hand-written backpropagation-through-time adjoint whose gradients
@@ -55,118 +63,51 @@ val forward : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Va
     "The pTPB adjoint"); the realized component values stay ordinary
     tape nodes, so straight-through draws keep their semantics. *)
 
-val forward_multi :
-  draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
-(** Multivariate variant: one [batch x inputs] tensor per time step. *)
+(** {1 Evaluation} *)
 
-type readout = Integrated | Last_step
+type draws = { crossbar : Variation.draw; filter : Variation.draw; act : Variation.draw }
+(** One variation draw per component family: crossbar conductances,
+    filter RC values and activation parameters. Independent draws let
+    {!Sensitivity} attribute robustness loss to one family at a time. *)
 
-val forward_readout :
-  readout:readout -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
-(** {!forward} with a selectable read-out: [Integrated] (the default,
-    time-averaged output) or [Last_step] (the final instant only) —
-    used by the read-out ablation bench. *)
+val shared : Variation.draw -> draws
+(** The same draw for every family — the physical circuit under one
+    component sample, as {!forward} sees it. *)
 
-(** {1 Pure-tensor forward (no-grad evaluation path)}
-
-    Same sampling order and floating-point operation sequence as the
-    Var-based forwards above — logits are bit-identical under the same
-    draw — but no autodiff nodes are allocated and the per-step kernels
-    run in preallocated buffers. *)
-
-val forward_t : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-
-val forward_multi_t :
-  draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array -> Pnc_tensor.Tensor.t
-
-val forward_readout_t :
-  readout:readout -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-
-val forward_multi_selective_t :
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
+val eval :
+  ?batch_size:int ->
+  ?precision:[ `Exact | `Fast ] ->
+  ?state_init:Filter_layer.state_init ->
+  draws:draws ->
   t ->
   Pnc_tensor.Tensor.t array ->
   Pnc_tensor.Tensor.t
+(** The evaluation forward: the integrated-read-out logits of {!forward}
+    on plain tensors. Same sampling order and floating-point operation
+    sequence — under [eval ~draws:(shared d)] the logits are
+    bit-identical to [Var.value (forward ~draw:d ...)] — but no
+    autodiff nodes are allocated (safe inside a {!Pnc_util.Pool} task)
+    and the per-step kernels run in preallocated buffers.
 
-val forward_selective_t :
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-(** Forward with independent variation draws per component family —
-    lets {!Sensitivity} attribute robustness loss to crossbar
-    conductances, filter RC values or activation parameters separately.
-    No autodiff nodes; safe inside a {!Pnc_util.Pool} task. *)
+    [?batch_size] (resolved by {!Batch.resolve}: explicit argument,
+    else [ADAPT_PNC_BATCH], else the whole batch as one block) only
+    chooses how many rows each kernel call carries: the draws are
+    realized once per call and shared across all row blocks, so the
+    logits are bit-identical for every batch size.
 
-(** {1 Batched forwards}
-
-    Twins of the tensor forwards above with a [?batch_size] knob
-    (resolved by {!Batch.resolve}: explicit argument, else
-    [ADAPT_PNC_BATCH], else the whole batch as one block). The
-    variation draw is realized once per call and shared across all row
-    blocks, so the block size is a pure performance knob — logits are
-    bit-identical to the unbatched twin (and hence to the Var path) for
-    every batch size.
-
-    [?precision] selects the activation tier for the fused kernels:
-    [`Exact] (the default) keeps every result bit-identical to the Var
-    path; [`Fast] substitutes {!Pnc_tensor.Fast_math.tanh} (≤1e-7
-    absolute tanh error) for the per-element transcendental. The knob
-    affects arithmetic only — realization order, batching and shapes are
+    [?precision] selects the activation tier: [`Exact] (the default)
+    keeps every result bit-identical to the Var path; [`Fast]
+    substitutes {!Pnc_tensor.Fast_math.tanh} (≤1e-7 absolute tanh
+    error) for the per-element transcendental. The knob affects
+    arithmetic only — realization order, batching and shapes are
     unchanged.
 
     [?state_init] selects the filter initial-voltage semantics
     ({!Filter_layer.state_init}; default [`V0], the historical
-    behaviour). Under [`Gaussian] the full-batch states are pre-drawn
-    before chunking, so the result stays bit-identical for every batch
-    size — like the draw, the initial state describes the physical
-    situation, not the evaluation schedule. *)
-
-val forward_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
-  draw:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-
-val forward_multi_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
-  draw:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t array ->
-  Pnc_tensor.Tensor.t
-
-val forward_selective_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-
-val predict : ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> int array
-(** Argmax class per sample; deterministic unless a draw is given.
-    Runs on the tensor fast path. *)
-
-val predict_batch :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
-  ?draw:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  int array
-(** {!predict} on the batched path. *)
+    behaviour). The full-batch states are drawn once before chunking,
+    so under [`Gaussian] too the result is bit-identical for every
+    batch size — like the draw, the initial state describes the
+    physical situation, not the evaluation schedule. *)
 
 val clamp : t -> unit
 (** Project every component value into its printable window. *)

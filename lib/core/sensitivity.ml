@@ -20,22 +20,19 @@ type row = { family : family; accuracy : float; drop : float }
    under the same draws): pool tasks must not touch the global gradient
    tape, and the analysis needs no gradients anyway. Draw i owns child
    stream i, so the mean is worker-count-invariant. *)
-let accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net x y =
+let accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net steps y =
   let rngs = Rng.split_n rng draws in
   let instance i =
     let varied = Variation.make_draw rngs.(i) spec in
     let nominal = Variation.deterministic in
-    let draw_crossbar, draw_filter, draw_act =
+    let family_draws =
       match family with
-      | Crossbar_conductances -> (varied, nominal, nominal)
-      | Filter_rc -> (nominal, varied, nominal)
-      | Activation_eta -> (nominal, nominal, varied)
-      | All_families -> (varied, varied, varied)
+      | Crossbar_conductances -> { Network.crossbar = varied; filter = nominal; act = nominal }
+      | Filter_rc -> { Network.crossbar = nominal; filter = varied; act = nominal }
+      | Activation_eta -> { Network.crossbar = nominal; filter = nominal; act = varied }
+      | All_families -> Network.shared varied
     in
-    let logits =
-      Network.forward_selective_batch_t ?batch_size ~draw_crossbar ~draw_filter ~draw_act
-        net x
-    in
+    let logits = Network.eval ?batch_size ~draws:family_draws net steps in
     Stats.accuracy ~pred:(T.argmax_rows logits) ~truth:y
   in
   let accs =
@@ -51,15 +48,17 @@ let analyze ?batch_size ?pool ~rng ~level ~draws net dataset =
     "sensitivity.analyze"
   @@ fun () ->
   let x, y = Train.to_xy dataset in
+  let steps = T.columns x in
   let spec = Variation.uniform level in
   let nominal_pred =
-    T.argmax_rows (Network.forward_batch_t ?batch_size ~draw:Variation.deterministic net x)
+    T.argmax_rows
+      (Network.eval ?batch_size ~draws:(Network.shared Variation.deterministic) net steps)
   in
   let nominal = Stats.accuracy ~pred:nominal_pred ~truth:y in
   List.map
     (fun family ->
       let t0 = if Obs.enabled () then Clock.now () else 0. in
-      let accuracy = accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net x y in
+      let accuracy = accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net steps y in
       Obs.Counter.add draws_counter draws;
       if Obs.enabled () then begin
         let dt = Clock.elapsed t0 in

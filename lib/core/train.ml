@@ -207,7 +207,7 @@ let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume
 
 let accuracy ?batch_size ?precision ?draw model d =
   let x, y = to_xy d in
-  let pred = Model.predict_batch ?batch_size ?precision ?draw model x in
+  let pred = T.argmax_rows (Model.eval ?batch_size ?precision ?draw model x) in
   Pnc_util.Stats.accuracy ~pred ~truth:y
 
 let accuracy_under_variation ?batch_size ?precision ?pool ~rng ~spec ~draws model d =
@@ -220,7 +220,7 @@ let accuracy_under_variation ?batch_size ?precision ?pool ~rng ~spec ~draws mode
   let instance i =
     let draw = Variation.make_draw rngs.(i) spec in
     Pnc_util.Stats.accuracy
-      ~pred:(Model.predict_batch ?batch_size ?precision ~draw model x)
+      ~pred:(T.argmax_rows (Model.eval ?batch_size ?precision ~draw model x))
       ~truth:y
   in
   let accs =

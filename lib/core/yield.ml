@@ -1,3 +1,4 @@
+module T = Pnc_tensor.Tensor
 module Stats = Pnc_util.Stats
 module Obs = Pnc_obs.Obs
 module Clock = Pnc_obs.Clock
@@ -42,7 +43,7 @@ let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
       let instance i =
         let draw = Variation.make_draw rngs.(i) spec in
         Pnc_util.Stats.accuracy
-          ~pred:(Model.predict_batch ?batch_size ~draw model x)
+          ~pred:(T.argmax_rows (Model.eval ?batch_size ~draw model x))
           ~truth:y
       in
       match pool with
@@ -51,7 +52,7 @@ let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
     end
     else
       [|
-        Pnc_util.Stats.accuracy ~pred:(Model.predict_batch ?batch_size model x) ~truth:y;
+        Pnc_util.Stats.accuracy ~pred:(T.argmax_rows (Model.eval ?batch_size model x)) ~truth:y;
       |]
   in
   let r = of_accuracies ~threshold accs in

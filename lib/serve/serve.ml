@@ -1,6 +1,6 @@
 (* Model-serving daemon: HTTP/1.1 over Unix sockets, an admission
    queue that coalesces concurrent requests into micro-batches for
-   Model.logits_batch_t, worker domains from Pnc_util.Pool, checkpoint
+   Model.eval, worker domains from Pnc_util.Pool, checkpoint
    hot reload, graceful drain on shutdown. See serve.mli and
    docs/SERVING.md for the contracts.
 
@@ -381,7 +381,7 @@ let fulfill (p : pending) reply =
 
 (* Pop a maximal run of equal-width requests from the queue head, up to
    [max_batch] coalesced rows (the first request is always taken whole,
-   even if it alone exceeds the threshold — logits_batch_t chunks
+   even if it alone exceeds the threshold — Model.eval chunks
    internally). Caller holds [q_mu]. *)
 let take_group t =
   match Queue.peek_opt t.q with
@@ -425,8 +425,7 @@ let compute_logits t model x =
       let parts =
         Pool.init pool ~n:(Array.length bounds) (fun i ->
             let start, len = bounds.(i) in
-            Model.logits_batch_t ?batch_size:t.cfg.batch_size
-              ~precision:t.cfg.precision model
+            Model.eval ?batch_size:t.cfg.batch_size ~precision:t.cfg.precision model
               (Tensor.rows_view x ~row:start ~len))
       in
       Array.concat
@@ -436,8 +435,7 @@ let compute_logits t model x =
               parts))
   | _ ->
       let l =
-        Model.logits_batch_t ?batch_size:t.cfg.batch_size ~precision:t.cfg.precision
-          model x
+        Model.eval ?batch_size:t.cfg.batch_size ~precision:t.cfg.precision model x
       in
       Array.init (Tensor.rows l) (fun i -> Tensor.row l i)
 

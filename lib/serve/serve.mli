@@ -3,14 +3,14 @@
     This is the "millions of users" front-end over the batched no-grad
     inference engine: a TCP (HTTP/1.1 over [Unix]) daemon that admits
     concurrent JSON requests into a shared queue, coalesces them into
-    blocks for {!Pnc_core.Model.logits_batch_t} (flushing when the
+    blocks for {!Pnc_core.Model.eval} (flushing when the
     queued row count reaches [max_batch] {e or} when the oldest queued
     request has waited [max_delay_s]), and fans the compute out over
     {!Pnc_util.Pool} worker domains.
 
     {b Parity contract.} Serving never changes a number: the logits
     returned over the wire are bit-identical (eps 0) to an offline
-    [Model.logits_batch_t] call on the same checkpoint, whatever the
+    [Model.eval] call on the same checkpoint, whatever the
     flush size, micro-batch grouping, worker count or kernel block
     size. Micro-batching only groups rows, and every row's computation
     is independent of its neighbours (the blocked kernels guarantee
@@ -52,7 +52,7 @@ type config = {
           even if the batch is not full — the latency bound under light
           load *)
   batch_size : int option;
-      (** kernel block size forwarded to [Model.logits_batch_t]
+      (** kernel block size forwarded to [Model.eval]
           ([None] = whole coalesced block; a pure throughput knob) *)
   precision : Pnc_core.Batch.precision;
       (** activation tier for batch compute (default [`Exact]); the

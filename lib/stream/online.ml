@@ -149,8 +149,9 @@ let eval ?batch_size ?precision ?pool ?spec ?v0_sigma ~rng protocol model
     let win = windows.(w) in
     let xw = T.rows_view x_all ~row:win.Window.start ~len:win.Window.len in
     let pred =
-      Model.predict_batch ?batch_size ?precision ~state_init:(state_init_for w)
-        ~draw:(mk_draw ()) model xw
+      T.argmax_rows
+        (Model.eval ?batch_size ?precision ~state_init:(state_init_for w) ~draw:(mk_draw ())
+           model xw)
     in
     let correct = ref 0 in
     Array.iteri

@@ -2,7 +2,7 @@
     adaptation (prequential, test-then-train).
 
     The stream is cut into windows ({!Window.slice}); each window is
-    scored on the no-grad batched path ({!Pnc_core.Model.predict_batch})
+    scored on the no-grad batched path ({!Pnc_core.Model.eval})
     and, when adaptation is on, the model then takes a few optimizer
     steps on that window's (x, y) buffer through the tape engine before
     the next window arrives.

@@ -94,6 +94,8 @@ let rows_view t ~row ~len =
 let col t c =
   init ~rows:t.rows ~cols:1 (fun r _ -> get t r c)
 
+let columns t = Array.init t.cols (col t)
+
 let get_scalar t =
   assert (t.rows = 1 && t.cols = 1);
   A.get t.data t.off
@@ -166,73 +168,6 @@ let broadcast_rv f m rv =
 
 let add_rv m rv = broadcast_rv ( +. ) m rv
 let mul_rv m rv = broadcast_rv ( *. ) m rv
-
-(* The per-row broadcast kernels below run inside the per-time-step
-   loop of the no-grad forward, so they are hand-specialized (no
-   closure dispatch) and use unchecked accesses: the shape asserts plus
-   the view invariant [off + rows * cols <= A.dim data] make every
-   index provably in bounds. *)
-
-let add_rv_inplace m rv =
-  assert (rv.rows = 1 && rv.cols = m.cols);
-  let cols = m.cols in
-  let md = m.data and rd = rv.data and ro = rv.off in
-  for r = 0 to m.rows - 1 do
-    let moff = m.off + (r * cols) in
-    for c = 0 to cols - 1 do
-      A.unsafe_set md (moff + c)
-        (A.unsafe_get md (moff + c) +. A.unsafe_get rd (ro + c))
-    done
-  done
-
-let mul_rv_inplace m rv =
-  assert (rv.rows = 1 && rv.cols = m.cols);
-  let cols = m.cols in
-  let md = m.data and rd = rv.data and ro = rv.off in
-  for r = 0 to m.rows - 1 do
-    let moff = m.off + (r * cols) in
-    for c = 0 to cols - 1 do
-      A.unsafe_set md (moff + c)
-        (A.unsafe_get md (moff + c) *. A.unsafe_get rd (ro + c))
-    done
-  done
-
-let add_mul_rv_inplace m ~add ~mul =
-  (* Fused (m + add) * mul: element-for-element the same expression as
-     add_rv_inplace followed by mul_rv_inplace, in one memory pass. *)
-  assert (add.rows = 1 && add.cols = m.cols);
-  assert (mul.rows = 1 && mul.cols = m.cols);
-  let cols = m.cols in
-  let md = m.data and ad = add.data and ud = mul.data in
-  let ao = add.off and uo = mul.off in
-  for r = 0 to m.rows - 1 do
-    let moff = m.off + (r * cols) in
-    for c = 0 to cols - 1 do
-      A.unsafe_set md (moff + c)
-        ((A.unsafe_get md (moff + c) +. A.unsafe_get ad (ao + c))
-        *. A.unsafe_get ud (uo + c))
-    done
-  done
-
-let affine_rv_into ~dst s a x b =
-  assert (same_shape s x && same_shape dst s);
-  assert (a.rows = 1 && a.cols = s.cols && b.rows = 1 && b.cols = s.cols);
-  let cols = s.cols in
-  let dd = dst.data and sd = s.data and xd = x.data in
-  let ad = a.data and bd = b.data in
-  let ao = a.off and bo = b.off in
-  for r = 0 to s.rows - 1 do
-    let doff = dst.off + (r * cols)
-    and soff = s.off + (r * cols)
-    and xoff = x.off + (r * cols) in
-    for c = 0 to cols - 1 do
-      (* dst may alias s (the filter state update overwrites in place);
-         each element is read before it is written. *)
-      A.unsafe_set dd (doff + c)
-        ((A.unsafe_get sd (soff + c) *. A.unsafe_get ad (ao + c))
-        +. (A.unsafe_get xd (xoff + c) *. A.unsafe_get bd (bo + c)))
-    done
-  done
 
 (* Cache-blocking tile sizes for [matmul_into]. The k-tiles are visited
    in ascending order, so every output element still accumulates its

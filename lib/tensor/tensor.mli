@@ -54,6 +54,10 @@ val row : t -> int -> float array
 val col : t -> int -> t
 (** Column [c] as an [rows x 1] tensor (copies). *)
 
+val columns : t -> t array
+(** Every column in order: a [batch x time] series as the time-major
+    array of [batch x 1] steps the model forwards consume (copies). *)
+
 val rows_view : t -> row:int -> len:int -> t
 (** [rows_view t ~row ~len] is the [len x cols t] block of consecutive
     rows starting at [row], sharing [t]'s buffer — no copy; writes
@@ -94,23 +98,6 @@ val add_inplace : t -> t -> unit
 
 val add_rv : t -> t -> t
 val mul_rv : t -> t -> t
-
-val add_rv_inplace : t -> t -> unit
-val mul_rv_inplace : t -> t -> unit
-(** In-place variants mutating the matrix operand — allocation-free
-    kernels for the no-grad evaluation path. *)
-
-val add_mul_rv_inplace : t -> add:t -> mul:t -> unit
-(** [add_mul_rv_inplace m ~add ~mul] replaces each element [m.(r).(c)]
-    with [(m.(r).(c) +. add.(0).(c)) *. mul.(0).(c)] — the same
-    per-element expression as {!add_rv_inplace} followed by
-    {!mul_rv_inplace}, fused into one memory pass (the crossbar's
-    bias-plus-normalization step). *)
-
-val affine_rv_into : dst:t -> t -> t -> t -> t -> unit
-(** [affine_rv_into ~dst s a x b] writes [s ∘ a + x ∘ b] into [dst]
-    ([s], [x], [dst] matrices of one shape; [a], [b] row vectors).
-    [dst] may alias [s] — the filter state update runs in place. *)
 
 (** {1 Linear algebra} *)
 

@@ -124,7 +124,7 @@ module Network = struct
     lr.filt_state <- state';
     Ptanh.apply lr.act filtered
 
-  (* The per-step twin of [forward_multi_readout]: time-major, every
+  (* The per-step twin of [forward]: time-major, every
      layer advanced one step before the next step starts. *)
   let reference_multi ~readout ~draw_crossbar ~draw_filter ~draw_act net steps =
     assert (Array.length steps > 0);

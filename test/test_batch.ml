@@ -1,6 +1,6 @@
 (* Differential-oracle battery for the batched no-grad inference
-   engine: every [*_batch_t] twin must be bit-identical (eps 0) to its
-   unblocked oracle for every block size — 1, primes, a ragged final
+   engine: every [eval] must be bit-identical (eps 0) to its
+   whole-batch oracle for every block size — 1, primes, a ragged final
    block, the whole split, past the split — because the variation draw
    is realized once per forward and every kernel is row-independent.
    The dune rules re-run this binary under POOL_SIZE=1/4 crossed with
@@ -18,9 +18,6 @@ module Rng = Pnc_util.Rng
 module Pool = Pnc_util.Pool
 module Batch = Pnc_core.Batch
 module Variation = Pnc_core.Variation
-module Crossbar = Pnc_core.Crossbar
-module Filter_layer = Pnc_core.Filter_layer
-module Ptanh = Pnc_core.Ptanh
 module Network = Pnc_core.Network
 module Elman = Pnc_core.Elman
 module Model = Pnc_core.Model
@@ -41,85 +38,6 @@ let draw_of ~seed ~level = Variation.make_draw (Rng.create ~seed) (Variation.uni
 let block_sizes rows =
   List.sort_uniq compare
     (List.filter (fun b -> b >= 1) [ 1; 2; 3; 5; 7; rows - 1; rows; rows + 3 ])
-
-(* Layer twins ----------------------------------------------------------- *)
-
-let crossbar_case rng =
-  let inputs = 1 + Rng.int rng 5 in
-  let outputs = 1 + Rng.int rng 5 in
-  let rows = 1 + Rng.int rng 40 in
-  let seed = Rng.int rng 10_000 in
-  let cb = Crossbar.create rng ~inputs ~outputs in
-  let x = T.uniform rng ~rows ~cols:inputs ~lo:(-1.) ~hi:1. in
-  (cb, x, outputs, seed)
-
-let test_crossbar_twin () =
-  Qgen.check ~count:30 ~name:"crossbar batch twin"
-    ~pp:(fun (cb, x, _, seed) ->
-      Printf.sprintf "crossbar %dx%d rows=%d seed=%d" (Crossbar.inputs cb)
-        (Crossbar.outputs cb) (T.rows x) seed)
-    crossbar_case
-    (fun (cb, x, outputs, seed) ->
-      let real = Crossbar.realize_t ~draw:(draw_of ~seed ~level:0.1) cb in
-      let oracle = T.zeros ~rows:(T.rows x) ~cols:outputs in
-      Crossbar.apply_t_into ~dst:oracle real x;
-      List.for_all
-        (fun block -> eq0 oracle (Crossbar.apply_batch_t ~block real x))
-        (block_sizes (T.rows x)))
-
-let ptanh_case rng =
-  let features = 1 + Rng.int rng 6 in
-  let rows = 1 + Rng.int rng 40 in
-  let seed = Rng.int rng 10_000 in
-  let pt = Ptanh.create rng ~features in
-  let x = T.uniform rng ~rows ~cols:features ~lo:(-1.5) ~hi:1.5 in
-  (pt, x, seed)
-
-let test_ptanh_twin () =
-  Qgen.check ~count:30 ~name:"ptanh batch twin"
-    ~pp:(fun (_, x, seed) -> Printf.sprintf "ptanh rows=%d cols=%d seed=%d" (T.rows x) (T.cols x) seed)
-    ptanh_case
-    (fun (pt, x, seed) ->
-      let real = Ptanh.realize_t ~draw:(draw_of ~seed ~level:0.1) pt in
-      let oracle = T.zeros ~rows:(T.rows x) ~cols:(T.cols x) in
-      Ptanh.apply_t_into ~dst:oracle real x;
-      List.for_all (fun block -> eq0 oracle (Ptanh.apply_batch_t ~block real x)) (block_sizes (T.rows x)))
-
-let filter_case rng =
-  let features = 1 + Rng.int rng 5 in
-  let rows = 1 + Rng.int rng 24 in
-  let time = 2 + Rng.int rng 6 in
-  let seed = Rng.int rng 10_000 in
-  let order = if Rng.bool rng then Filter_layer.First else Filter_layer.Second in
-  let fl = Filter_layer.create rng order ~features in
-  let xs =
-    Array.init time (fun _ -> T.uniform rng ~rows ~cols:features ~lo:(-1.) ~hi:1.)
-  in
-  (fl, xs, seed)
-
-let test_filter_twin () =
-  Qgen.check ~count:30 ~name:"filter batch twin"
-    ~pp:(fun (fl, xs, seed) ->
-      Printf.sprintf "filter %s f=%d rows=%d time=%d seed=%d"
-        (match Filter_layer.order fl with First -> "1st" | Second -> "2nd")
-        (Filter_layer.features fl) (T.rows xs.(0)) (Array.length xs) seed)
-    filter_case
-    (fun (fl, xs, seed) ->
-      let rows = T.rows xs.(0) in
-      let real = Filter_layer.realize_t ~draw:(draw_of ~seed ~level:0.1) fl in
-      List.for_all
-        (fun block ->
-          (* Fresh state per block size: the update mutates it. *)
-          let st_o = Filter_layer.init_state_t real ~batch:rows in
-          let st_b = Filter_layer.init_state_t real ~batch:rows in
-          Array.for_all
-            (fun x ->
-              let a = T.copy (Filter_layer.step_t real st_o x) in
-              let b = Filter_layer.step_batch_t ~block real st_b x in
-              eq0 a b)
-            xs
-          && Array.for_all2 eq0 st_o st_b)
-        (block_sizes rows))
 
 (* End-to-end twins ------------------------------------------------------ *)
 
@@ -142,24 +60,29 @@ let model_case rng =
 let pp_model_case (model, x, seed) =
   Printf.sprintf "%s rows=%d time=%d seed=%d" (Model.label model) (T.rows x) (T.cols x) seed
 
+(* The oracle: the whole batch as one block, whatever the environment
+   says. *)
+let whole ~draw model x = Model.eval ~batch_size:(T.rows x) ~draw model x
+
 let test_logits_batch_twin () =
-  Qgen.check ~count:30 ~name:"logits_batch_t = logits_t" ~pp:pp_model_case model_case
+  Qgen.check ~count:30 ~name:"eval by blocks = whole batch" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
       (* Two draws from the same seed consume identical streams: one
          for the oracle, one per batched evaluation. *)
-      let oracle = Model.logits_t ~draw:(draw_of ~seed ~level:0.1) model x in
+      let oracle = whole ~draw:(draw_of ~seed ~level:0.1) model x in
       List.for_all
         (fun bs ->
-          eq0 oracle (Model.logits_batch_t ~batch_size:bs ~draw:(draw_of ~seed ~level:0.1) model x))
+          eq0 oracle (Model.eval ~batch_size:bs ~draw:(draw_of ~seed ~level:0.1) model x))
         (block_sizes (T.rows x)))
 
 let test_predict_batch_twin () =
-  Qgen.check ~count:20 ~name:"predict_batch = predict" ~pp:pp_model_case model_case
+  Qgen.check ~count:20 ~name:"classes by blocks = whole batch" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      let oracle = Model.predict ~draw:(draw_of ~seed ~level:0.1) model x in
+      let oracle = T.argmax_rows (whole ~draw:(draw_of ~seed ~level:0.1) model x) in
       List.for_all
         (fun bs ->
-          Model.predict_batch ~batch_size:bs ~draw:(draw_of ~seed ~level:0.1) model x = oracle)
+          T.argmax_rows (Model.eval ~batch_size:bs ~draw:(draw_of ~seed ~level:0.1) model x)
+          = oracle)
         (block_sizes (T.rows x)))
 
 (* The env knob: under ADAPT_PNC_BATCH (set by the dune rules) the
@@ -168,8 +91,100 @@ let test_predict_batch_twin () =
 let test_env_knob_parity () =
   Qgen.check ~count:10 ~name:"ADAPT_PNC_BATCH parity" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      let oracle = Model.logits_t ~draw:(draw_of ~seed ~level:0.1) model x in
-      eq0 oracle (Model.logits_batch_t ~draw:(draw_of ~seed ~level:0.1) model x))
+      let oracle = whole ~draw:(draw_of ~seed ~level:0.1) model x in
+      eq0 oracle (Model.eval ~draw:(draw_of ~seed ~level:0.1) model x))
+
+(* The one block loop behind every [eval]: consecutive blocks from row
+   0, each of the resolved size except a ragged last one, and every
+   returned block copied into its own rows. *)
+let test_eval_blocks_tiling () =
+  List.iter
+    (fun rows ->
+      List.iter
+        (fun bs ->
+          let seen = ref [] in
+          let out =
+            Batch.eval_blocks ~batch_size:bs ~rows ~cols:2 (fun ~row ~len ->
+                seen := (row, len) :: !seen;
+                T.init ~rows:len ~cols:2 (fun r c -> float_of_int ((10 * (row + r)) + c)))
+          in
+          let expected = List.init ((rows + bs - 1) / bs) (fun i -> (i * bs, min bs (rows - (i * bs)))) in
+          let label = Printf.sprintf "rows %d, batch_size %d" rows bs in
+          Alcotest.(check (list (pair int int))) (label ^ ": blocks") expected (List.rev !seen);
+          Alcotest.(check bool) (label ^ ": rows in place") true
+            (eq0 (T.init ~rows ~cols:2 (fun r c -> float_of_int ((10 * r) + c))) out))
+        (block_sizes rows))
+    [ 1; 2; 7; 12 ]
+
+(* Filter initial states are drawn for the whole batch before chunking,
+   so every [state_init] — including the per-row Gaussian stream — is
+   invariant in the block size. *)
+let circuit_case rng =
+  let classes = 2 + Rng.int rng 3 in
+  let rows = 2 + Rng.int rng 22 in
+  let time = 4 + Rng.int rng 9 in
+  let arch = if Rng.bool rng then Network.Ptpnc else Network.Adapt in
+  let net = Network.create ~hidden:(2 + Rng.int rng 4) rng arch ~inputs:1 ~classes in
+  (Model.Circuit net, T.uniform rng ~rows ~cols:time ~lo:(-1.) ~hi:1., Rng.int rng 10_000)
+
+let state_init_parity name state_init () =
+  Qgen.check ~count:15 ~name:("state_init " ^ name ^ " by blocks") ~pp:pp_model_case circuit_case
+    (fun (model, x, seed) ->
+      let eval bs =
+        Model.eval ~batch_size:bs ~state_init:(state_init seed) ~draw:(draw_of ~seed ~level:0.1)
+          model x
+      in
+      let oracle = eval (T.rows x) in
+      List.for_all (fun bs -> eq0 oracle (eval bs)) (block_sizes (T.rows x)))
+
+(* Three distinct family draws are each realized once per call, not per
+   block. *)
+let test_family_draws_parity () =
+  Qgen.check ~count:15 ~name:"family draws by blocks" ~pp:pp_model_case circuit_case
+    (fun (model, x, seed) ->
+      let net = match model with Model.Circuit n -> n | Model.Reference _ -> assert false in
+      let steps = T.columns x in
+      let eval bs =
+        let draws =
+          {
+            Network.crossbar = draw_of ~seed ~level:0.1;
+            filter = draw_of ~seed:(seed + 1) ~level:0.1;
+            act = draw_of ~seed:(seed + 2) ~level:0.1;
+          }
+        in
+        Network.eval ~batch_size:bs ~draws net steps
+      in
+      let oracle = eval (T.rows x) in
+      List.for_all (fun bs -> eq0 oracle (eval bs)) (block_sizes (T.rows x)))
+
+(* Multi-input steps (the multisensor path) through both families. *)
+let test_multivariate_parity () =
+  Qgen.check ~count:15 ~name:"multivariate eval by blocks"
+    ~pp:(fun (_, steps, seed) ->
+      Printf.sprintf "rows=%d time=%d seed=%d" (T.rows steps.(0)) (Array.length steps) seed)
+    (fun rng ->
+      let inputs = 2 + Rng.int rng 2 in
+      let rows = 2 + Rng.int rng 22 in
+      let time = 4 + Rng.int rng 9 in
+      let model =
+        match Rng.int rng 3 with
+        | 0 -> Model.Reference (Elman.create ~hidden:3 rng ~inputs ~classes:3)
+        | 1 -> Model.Circuit (Network.create ~hidden:3 rng Network.Ptpnc ~inputs ~classes:3)
+        | _ -> Model.Circuit (Network.create ~hidden:3 rng Network.Adapt ~inputs ~classes:3)
+      in
+      let steps = Array.init time (fun _ -> T.uniform rng ~rows ~cols:inputs ~lo:(-1.) ~hi:1.) in
+      (model, steps, Rng.int rng 10_000))
+    (fun (model, steps, seed) ->
+      let rows = T.rows steps.(0) in
+      let eval bs =
+        match model with
+        | Model.Reference e -> Elman.eval ~batch_size:bs e steps
+        | Model.Circuit net ->
+            Network.eval ~batch_size:bs ~draws:(Network.shared (draw_of ~seed ~level:0.1)) net
+              steps
+      in
+      let oracle = eval rows in
+      List.for_all (fun bs -> eq0 oracle (eval bs)) (block_sizes rows))
 
 let test_resolve_precedence () =
   (* Explicit argument beats the environment, which beats whole-split;
@@ -337,18 +352,20 @@ let test_battery_catches_tiling_bug () =
 let () =
   Alcotest.run "pnc_batch"
     [
-      ( "layer twins",
-        [
-          Alcotest.test_case "crossbar" `Quick test_crossbar_twin;
-          Alcotest.test_case "ptanh" `Quick test_ptanh_twin;
-          Alcotest.test_case "filter" `Quick test_filter_twin;
-        ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "logits_batch_t = logits_t" `Quick test_logits_batch_twin;
-          Alcotest.test_case "predict_batch = predict" `Quick test_predict_batch_twin;
+          Alcotest.test_case "eval by blocks = whole batch" `Quick test_logits_batch_twin;
+          Alcotest.test_case "classes by blocks = whole batch" `Quick test_predict_batch_twin;
           Alcotest.test_case "ADAPT_PNC_BATCH parity" `Quick test_env_knob_parity;
           Alcotest.test_case "resolve precedence" `Quick test_resolve_precedence;
+          Alcotest.test_case "eval_blocks tiling" `Quick test_eval_blocks_tiling;
+          Alcotest.test_case "state_init V0 by blocks" `Quick (state_init_parity "V0" (fun _ -> `V0));
+          Alcotest.test_case "state_init Zero by blocks" `Quick
+            (state_init_parity "Zero" (fun _ -> `Zero));
+          Alcotest.test_case "state_init Gaussian by blocks" `Quick
+            (state_init_parity "Gaussian" (fun seed -> `Gaussian (Rng.create ~seed, 0.2)));
+          Alcotest.test_case "family draws by blocks" `Quick test_family_draws_parity;
+          Alcotest.test_case "multivariate eval by blocks" `Quick test_multivariate_parity;
         ] );
       ( "consumers",
         [

@@ -359,7 +359,7 @@ let test_filter_cutoffs_positive () =
 let test_network_shapes () =
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:4 in
   let x = T.uniform (rng ()) ~rows:5 ~cols:16 ~lo:(-1.) ~hi:1. in
-  let out = Var.value (Network.forward ~draw:Variation.deterministic net x) in
+  let out = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
   Alcotest.(check int) "batch" 5 (T.rows out);
   Alcotest.(check int) "classes" 4 (T.cols out);
   Alcotest.(check int) "hidden default" 6 (Network.hidden net);
@@ -368,16 +368,16 @@ let test_network_shapes () =
 let test_network_deterministic_repeatable () =
   let net = Network.create (rng ()) Network.Ptpnc ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:3 ~cols:10 ~lo:(-1.) ~hi:1. in
-  let a = Var.value (Network.forward ~draw:Variation.deterministic net x) in
-  let b = Var.value (Network.forward ~draw:Variation.deterministic net x) in
+  let a = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
+  let b = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
   Alcotest.(check bool) "same output" true (T.equal_eps ~eps:0. a b)
 
 let test_network_variation_perturbs () =
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:3 ~cols:10 ~lo:(-1.) ~hi:1. in
-  let clean = Var.value (Network.forward ~draw:Variation.deterministic net x) in
+  let clean = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
   let draw = Variation.make_draw (rng ()) (Variation.uniform 0.1) in
-  let noisy = Var.value (Network.forward ~draw net x) in
+  let noisy = Var.value (Network.forward ~draw net (T.columns x)) in
   Alcotest.(check bool) "outputs differ" false (T.equal_eps ~eps:1e-12 clean noisy)
 
 let test_network_param_counts () =
@@ -395,12 +395,12 @@ let test_network_outputs_bounded () =
   (* ptanh output is eta1 + eta2*tanh(...) with |eta1| <= 1, eta2 <= 1. *)
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:3 in
   let x = T.uniform (rng ()) ~rows:8 ~cols:64 ~lo:(-1.) ~hi:1. in
-  let out = Var.value (Network.forward ~draw:Variation.deterministic net x) in
+  let out = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
   Alcotest.(check bool) "bounded by 2" true (T.max_abs out <= 2.)
 
 let test_network_multivariate () =
   (* Fig. 4's block has multiple sensory inputs: drive a 2-input network
-     through forward_multi. *)
+     through forward. *)
   let net = Network.create ~hidden:3 (rng ()) Network.Adapt ~inputs:2 ~classes:2 in
   let steps =
     Array.init 12 (fun k ->
@@ -410,7 +410,7 @@ let test_network_multivariate () =
             [| 0.1; -0.2 |];
           |])
   in
-  let out = Var.value (Network.forward_multi ~draw:Variation.deterministic net steps) in
+  let out = Var.value (Network.forward ~draw:Variation.deterministic net steps) in
   Alcotest.(check int) "batch 2" 2 (T.rows out);
   Alcotest.(check int) "classes 2" 2 (T.cols out);
   Alcotest.(check bool) "finite" true (Float.is_finite (T.sum out))
@@ -419,13 +419,13 @@ let test_readout_variants () =
   let net = Network.create ~hidden:3 (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:3 ~cols:16 ~lo:(-1.) ~hi:1. in
   let integrated =
-    Var.value (Network.forward_readout ~readout:Network.Integrated ~draw:Variation.deterministic net x)
+    Var.value (Network.forward ~readout:Network.Integrated ~draw:Variation.deterministic net (T.columns x))
   in
   let last =
-    Var.value (Network.forward_readout ~readout:Network.Last_step ~draw:Variation.deterministic net x)
+    Var.value (Network.forward ~readout:Network.Last_step ~draw:Variation.deterministic net (T.columns x))
   in
   Alcotest.(check bool) "variants differ" false (T.equal_eps ~eps:1e-12 integrated last);
-  let default = Var.value (Network.forward ~draw:Variation.deterministic net x) in
+  let default = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
   Alcotest.(check bool) "forward = integrated" true (T.equal_eps ~eps:0. integrated default)
 
 let test_model_dispatch () =
@@ -435,14 +435,14 @@ let test_model_dispatch () =
   Alcotest.(check string) "rnn label" "Elman RNN" (Model.label (Model.Reference e));
   Alcotest.(check bool) "is_circuit" true (Model.is_circuit (Model.Circuit net));
   let x = T.uniform (rng ()) ~rows:2 ~cols:8 ~lo:(-1.) ~hi:1. in
-  Alcotest.(check int) "predict length" 2 (Array.length (Model.predict (Model.Circuit net) x))
+  Alcotest.(check int) "predict length" 2 (Array.length (T.argmax_rows (Model.eval (Model.Circuit net) x)))
 
 (* Elman -------------------------------------------------------------------------- *)
 
 let test_elman_shapes () =
   let e = Elman.create ~hidden:5 (rng ()) ~inputs:1 ~classes:3 in
   let x = T.uniform (rng ()) ~rows:4 ~cols:12 ~lo:(-1.) ~hi:1. in
-  let out = Var.value (Elman.forward e x) in
+  let out = Var.value (Elman.forward e (T.columns x)) in
   Alcotest.(check int) "batch" 4 (T.rows out);
   Alcotest.(check int) "classes" 3 (T.cols out);
   Alcotest.(check int) "param tensors" 8 (List.length (Elman.params e));
@@ -453,7 +453,7 @@ let test_elman_multivariate () =
   let steps =
     Array.init 8 (fun k -> T.of_rows [| [| sin (0.5 *. float_of_int k); 0.3 |] |])
   in
-  let out = Var.value (Elman.forward_multi e steps) in
+  let out = Var.value (Elman.forward e steps) in
   Alcotest.(check int) "classes" 3 (T.cols out);
   Alcotest.(check bool) "finite" true (Float.is_finite (T.sum out))
 
@@ -461,14 +461,14 @@ let test_elman_depends_on_sequence () =
   let e = Elman.create (rng ()) ~inputs:1 ~classes:2 in
   let x1 = T.of_rows [| Array.init 10 (fun i -> float_of_int i /. 10.) |] in
   let x2 = T.of_rows [| Array.init 10 (fun i -> float_of_int (9 - i) /. 10.) |] in
-  let o1 = Var.value (Elman.forward e x1) and o2 = Var.value (Elman.forward e x2) in
+  let o1 = Var.value (Elman.forward e (T.columns x1)) and o2 = Var.value (Elman.forward e (T.columns x2)) in
   Alcotest.(check bool) "order matters" false (T.equal_eps ~eps:1e-12 o1 o2)
 
 let test_elman_gradients () =
   (* BPTT through a short unrolled Elman layer vs finite differences. *)
   let e = Elman.create ~hidden:3 (rng ()) ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:2 ~cols:5 ~lo:(-1.) ~hi:1. in
-  let f () = Var.sum (Var.sqr (Elman.forward e x)) in
+  let f () = Var.sum (Var.sqr (Elman.forward e (T.columns x))) in
   let params = Elman.params e in
   List.iter Var.zero_grad params;
   Var.backward (f ());
@@ -512,8 +512,12 @@ let test_hardware_g_scale () =
 let test_predict_with_draw_varies () =
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:20 ~cols:16 ~lo:(-1.) ~hi:1. in
-  let p1 = Network.predict net x in
-  let p2 = Network.predict net x in
+  let predict () =
+    T.argmax_rows
+      (Network.eval ~draws:(Network.shared Variation.deterministic) net (T.columns x))
+  in
+  let p1 = predict () in
+  let p2 = predict () in
   Alcotest.(check (array int)) "deterministic predict repeatable" p1 p2
 
 (* MC loss ------------------------------------------------------------------------- *)
@@ -605,8 +609,9 @@ let test_fast_path_parity_circuit () =
       let spec = Variation.uniform 0.1 in
       let d_var = Variation.make_draw (Rng.create ~seed:42) spec in
       let d_fast = Variation.make_draw (Rng.create ~seed:42) spec in
-      let var_logits = Var.value (Network.forward ~draw:d_var net x) in
-      let fast_logits = Network.forward_t ~draw:d_fast net x in
+      let steps = T.columns x in
+      let var_logits = Var.value (Network.forward ~draw:d_var net steps) in
+      let fast_logits = Network.eval ~draws:(Network.shared d_fast) net steps in
       Alcotest.(check bool)
         (Network.arch_name arch ^ " bit-identical logits")
         true
@@ -618,30 +623,86 @@ let test_fast_path_parity_circuit () =
         true
         (T.equal_eps ~eps:0.
            (Var.value (Model.logits model x))
-           (Model.logits_t model x)))
+           (Model.eval model x)))
     [ Network.Ptpnc; Network.Adapt ]
 
 let test_fast_path_parity_reference () =
   let m = Elman.create (rng ()) ~inputs:1 ~classes:3 in
   let x = T.uniform (rng ()) ~rows:5 ~cols:24 ~lo:(-1.) ~hi:1. in
   Alcotest.(check bool) "elman bit-identical logits" true
-    (T.equal_eps ~eps:0. (Var.value (Elman.forward m x)) (Elman.forward_t m x));
+    (T.equal_eps ~eps:0. (Var.value (Elman.forward m (T.columns x))) (Elman.eval m (T.columns x)));
   let model = Model.Reference m in
   Alcotest.(check bool) "model dispatch parity" true
-    (T.equal_eps ~eps:0. (Var.value (Model.logits model x)) (Model.logits_t model x))
+    (T.equal_eps ~eps:0. (Var.value (Model.logits model x)) (Model.eval model x))
 
 let test_fast_path_readouts_parity () =
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
-  let x = T.uniform (rng ()) ~rows:4 ~cols:16 ~lo:(-1.) ~hi:1. in
+  let steps = T.columns (T.uniform (rng ()) ~rows:4 ~cols:16 ~lo:(-1.) ~hi:1.) in
+  let d1 = Variation.make_draw (Rng.create ~seed:9) (Variation.uniform 0.1) in
+  let d2 = Variation.make_draw (Rng.create ~seed:9) (Variation.uniform 0.1) in
+  Alcotest.(check bool) "readout parity" true
+    (T.equal_eps ~eps:0.
+       (Var.value (Network.forward ~readout:Network.Integrated ~draw:d1 net steps))
+       (Network.eval ~draws:(Network.shared d2) net steps))
+
+(* [eval ~draws] must hand each component family its own draw: one
+   family varied at a time, then three distinct draws, against the
+   per-step tape oracle fed the same draws family by family. *)
+let test_eval_draw_routing () =
+  let varied seed () = Variation.make_draw (Rng.create ~seed) (Variation.uniform 0.1) in
+  let nominal () = Variation.deterministic in
+  let patterns =
+    [
+      ("crossbar varied", varied 1, nominal, nominal);
+      ("filter varied", nominal, varied 2, nominal);
+      ("activation varied", nominal, nominal, varied 3);
+      ("all distinct", varied 4, varied 5, varied 6);
+    ]
+  in
   List.iter
-    (fun readout ->
-      let d1 = Variation.make_draw (Rng.create ~seed:9) (Variation.uniform 0.1) in
-      let d2 = Variation.make_draw (Rng.create ~seed:9) (Variation.uniform 0.1) in
-      Alcotest.(check bool) "readout parity" true
+    (fun arch ->
+      let net = Network.create ~hidden:3 (rng ()) arch ~inputs:1 ~classes:3 in
+      let steps = T.columns (T.uniform (rng ()) ~rows:9 ~cols:12 ~lo:(-1.) ~hi:1.) in
+      List.iter
+        (fun (name, crossbar, filter, act) ->
+          let oracle =
+            Var.value
+              (Layer_oracle.Network.reference_multi ~readout:Network.Integrated
+                 ~draw_crossbar:(crossbar ()) ~draw_filter:(filter ()) ~draw_act:(act ()) net
+                 steps)
+          in
+          List.iter
+            (fun batch_size ->
+              let draws = { Network.crossbar = crossbar (); filter = filter (); act = act () } in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s, batch %d" (Network.arch_name arch) name batch_size)
+                true
+                (T.equal_eps ~eps:0. oracle (Network.eval ~batch_size ~draws net steps)))
+            [ 1; 7 ])
+        patterns)
+    [ Network.Ptpnc; Network.Adapt ]
+
+(* Multi-input steps (Fig. 4's multisensor block): [eval] agrees with
+   the training forward bit for bit in every model family. *)
+let test_multivariate_eval_parity () =
+  let steps =
+    Array.init 10 (fun _ -> T.uniform (rng ()) ~rows:6 ~cols:3 ~lo:(-1.) ~hi:1.)
+  in
+  List.iter
+    (fun arch ->
+      let net = Network.create ~hidden:3 (rng ()) arch ~inputs:3 ~classes:2 in
+      let d1 = Variation.make_draw (Rng.create ~seed:21) (Variation.uniform 0.1) in
+      let d2 = Variation.make_draw (Rng.create ~seed:21) (Variation.uniform 0.1) in
+      Alcotest.(check bool)
+        (Network.arch_name arch ^ " multivariate parity")
+        true
         (T.equal_eps ~eps:0.
-           (Var.value (Network.forward_readout ~readout ~draw:d1 net x))
-           (Network.forward_readout_t ~readout ~draw:d2 net x)))
-    [ Network.Integrated; Network.Last_step ]
+           (Var.value (Network.forward ~draw:d1 net steps))
+           (Network.eval ~draws:(Network.shared d2) net steps)))
+    [ Network.Ptpnc; Network.Adapt ];
+  let e = Elman.create ~hidden:4 (rng ()) ~inputs:3 ~classes:2 in
+  Alcotest.(check bool) "elman multivariate parity" true
+    (T.equal_eps ~eps:0. (Var.value (Elman.forward e steps)) (Elman.eval e steps))
 
 let test_expected_value_matches_var_path () =
   (* The pure-tensor MC estimate consumes the same random stream and
@@ -708,13 +769,13 @@ let test_fast_path_allocates_no_var_nodes () =
   let x = T.uniform (rng ()) ~rows:4 ~cols:12 ~lo:(-1.) ~hi:1. in
   let labels = [| 0; 1; 0; 1 |] in
   let before = Var.nodes_created () in
-  let _ = Model.predict model x in
+  let _ = T.argmax_rows (Model.eval model x) in
   let _ =
     Mc_loss.expected_value ~rng:(Rng.create ~seed:3) ~spec:(Variation.uniform 0.1) ~n:4 model
       ~x ~labels
   in
   let d = Variation.make_draw (Rng.create ~seed:4) (Variation.uniform 0.1) in
-  let _ = Model.predict ~draw:d model x in
+  let _ = T.argmax_rows (Model.eval ~draw:d model x) in
   Alcotest.(check int) "zero Var nodes allocated" before (Var.nodes_created ())
 
 (* Hardware -------------------------------------------------------------------------- *)
@@ -950,6 +1011,27 @@ let test_evaluate_restores_design () =
   Alcotest.(check bool) "design restored" true
     (List.for_all2 (T.equal_eps ~eps:0.) bias_before bias_after)
 
+let test_evaluate_off_the_tape () =
+  (* Chip accuracy is an evaluation: with no trimming epochs,
+     [evaluate] records no tape node, and its accuracy is the argmax of
+     the training forward under the same chip. *)
+  let net = Network.create ~hidden:3 (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
+  let split = Pnc_data.Dataset.preprocess (Rng.create ~seed:4)
+      (Pnc_data.Registry.load ~seed:3 ~n:40 "GPOVY") in
+  let test = split.Pnc_data.Dataset.test in
+  let chip = Pnc_core.Calibrate.chip ~seed:9 (Variation.uniform 0.2) in
+  let before = Var.nodes_created () in
+  let outcome =
+    Pnc_core.Calibrate.evaluate ~epochs:0 ~chip net ~calibration:split.Pnc_data.Dataset.valid
+      ~test
+  in
+  Alcotest.(check int) "zero Var nodes" before (Var.nodes_created ());
+  let x, y = Pnc_core.Train.to_xy test in
+  let pred = T.argmax_rows (Var.value (Network.forward ~draw:(chip ()) net (T.columns x))) in
+  let expected = Pnc_util.Stats.accuracy ~pred ~truth:y in
+  Alcotest.(check (float 0.)) "before = Var-path accuracy" expected outcome.Pnc_core.Calibrate.before;
+  Alcotest.(check (float 0.)) "after = before with no epochs" expected outcome.Pnc_core.Calibrate.after
+
 (* Properties ----------------------------------------------------------------------- *)
 
 let prop_crossbar_bounded_under_variation =
@@ -981,8 +1063,8 @@ let prop_network_deterministic_forward =
       let r = Rng.create ~seed in
       let net = Network.create ~hidden:3 r Network.Adapt ~inputs:1 ~classes:2 in
       let x = T.uniform r ~rows:2 ~cols:12 ~lo:(-1.) ~hi:1. in
-      let a = Var.value (Network.forward ~draw:Variation.deterministic net x) in
-      let b = Var.value (Network.forward ~draw:Variation.deterministic net x) in
+      let a = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
+      let b = Var.value (Network.forward ~draw:Variation.deterministic net (T.columns x)) in
       T.equal_eps ~eps:0. a b)
 
 (* Fused layer node vs the per-step tape oracle ---------------------------- *)
@@ -1016,7 +1098,7 @@ let gen_fused_case =
   fun rng ->
     let fc_seed = int_range 0 100_000 rng in
     let fc_arch = oneof [ Network.Ptpnc; Network.Adapt ] rng in
-    (* The multivariate entry point reads out by integration only. *)
+    (* Multivariate cases read out by integration only. *)
     let fc_inputs = int_range 1 2 rng in
     let fc_readout =
       if fc_inputs = 1 then oneof [ Network.Integrated; Network.Last_step ] rng
@@ -1090,8 +1172,8 @@ let fused_matches_tape c =
   let readout = c.fc_readout in
   let fused =
     fused_case_run c net ~steps ~x ~labels (fun ~draw ~steps ~x ->
-        if c.fc_inputs = 1 then Network.forward_readout ~readout ~draw net x
-        else Network.forward_multi ~draw net steps)
+        if c.fc_inputs = 1 then Network.forward ~readout ~draw net (T.columns x)
+        else Network.forward ~draw net steps)
   in
   let tape =
     fused_case_run c net ~steps ~x ~labels (fun ~draw ~steps ~x:_ ->
@@ -1269,6 +1351,8 @@ let () =
           Alcotest.test_case "circuit parity" `Quick test_fast_path_parity_circuit;
           Alcotest.test_case "reference parity" `Quick test_fast_path_parity_reference;
           Alcotest.test_case "readout parity" `Quick test_fast_path_readouts_parity;
+          Alcotest.test_case "per-family draw routing" `Quick test_eval_draw_routing;
+          Alcotest.test_case "multivariate parity" `Quick test_multivariate_eval_parity;
           Alcotest.test_case "mc value agrees" `Quick test_expected_value_matches_var_path;
           Alcotest.test_case "re-seeded run identical" `Quick test_expected_value_reseed_regression;
           Alcotest.test_case "zero Var allocation" `Quick test_fast_path_allocates_no_var_nodes;
@@ -1323,6 +1407,7 @@ let () =
           Alcotest.test_case "bias subset" `Quick test_bias_params_subset;
           Alcotest.test_case "trim scope" `Quick test_trim_moves_only_biases;
           Alcotest.test_case "evaluate restores" `Quick test_evaluate_restores_design;
+          Alcotest.test_case "evaluate off the tape" `Quick test_evaluate_off_the_tape;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -61,11 +61,9 @@ let test_exact_is_bit_identical () =
   let x, _ = Train.to_xy split.Dataset.test in
   let model = make_circuit 5 in
   let draw_of seed = Variation.make_draw (Rng.create ~seed) (Variation.uniform 0.1) in
-  let reference = Model.logits_t ~draw:(draw_of 11) model x in
-  let default_logits = Model.logits_batch_t ~batch_size:7 ~draw:(draw_of 11) model x in
-  let exact_logits =
-    Model.logits_batch_t ~batch_size:7 ~precision:`Exact ~draw:(draw_of 11) model x
-  in
+  let reference = Model.eval ~batch_size:(T.rows x) ~draw:(draw_of 11) model x in
+  let default_logits = Model.eval ~batch_size:7 ~draw:(draw_of 11) model x in
+  let exact_logits = Model.eval ~batch_size:7 ~precision:`Exact ~draw:(draw_of 11) model x in
   Alcotest.(check bool) "default = unbatched at eps 0" true
     (T.equal_eps ~eps:0. reference default_logits);
   Alcotest.(check bool) "`Exact = unbatched at eps 0" true
@@ -76,8 +74,8 @@ let test_fast_drift_bounded_circuit () =
   let x, _ = Train.to_xy split.Dataset.test in
   let model = make_circuit 5 in
   let draw_of seed = Variation.make_draw (Rng.create ~seed) (Variation.uniform 0.1) in
-  let exact = Model.logits_batch_t ~precision:`Exact ~draw:(draw_of 11) model x in
-  let fast = Model.logits_batch_t ~precision:`Fast ~draw:(draw_of 11) model x in
+  let exact = Model.eval ~precision:`Exact ~draw:(draw_of 11) model x in
+  let fast = Model.eval ~precision:`Fast ~draw:(draw_of 11) model x in
   let d = max_logit_delta exact fast in
   Alcotest.(check bool) (Printf.sprintf "circuit drift %.3g <= %.0e" d drift_bound) true
     (d <= drift_bound);
@@ -87,8 +85,8 @@ let test_fast_drift_bounded_elman () =
   let split = gpovy_split () in
   let x, _ = Train.to_xy split.Dataset.test in
   let model = Model.Reference (Elman.create (Rng.create ~seed:7) ~inputs:1 ~classes:2) in
-  let exact = Model.logits_batch_t ~precision:`Exact model x in
-  let fast = Model.logits_batch_t ~precision:`Fast model x in
+  let exact = Model.eval ~precision:`Exact model x in
+  let fast = Model.eval ~precision:`Fast model x in
   let d = max_logit_delta exact fast in
   Alcotest.(check bool) (Printf.sprintf "elman drift %.3g <= %.0e" d drift_bound) true
     (d <= drift_bound)
@@ -115,8 +113,8 @@ let test_end_to_end_drift () =
     true
     (Float.abs (acc_fast -. acc_exact) <= floor +. 1e-12);
   let x, _ = Train.to_xy test in
-  let pred_exact = Model.predict_batch ~precision:`Exact model x in
-  let pred_fast = Model.predict_batch ~precision:`Fast model x in
+  let pred_exact = T.argmax_rows (Model.eval ~precision:`Exact model x) in
+  let pred_fast = T.argmax_rows (Model.eval ~precision:`Fast model x) in
   let agree = ref 0 in
   Array.iteri (fun i p -> if p = pred_fast.(i) then incr agree) pred_exact;
   Alcotest.(check bool)

@@ -2,7 +2,7 @@
 
    The load-bearing property is the parity contract from
    lib/serve/serve.mli: logits served over the wire are bit-identical
-   (eps 0) to an offline [Model.logits_batch_t] call on the same
+   (eps 0) to an offline [Model.eval] call on the same
    checkpoint, whatever flush mode produced the micro-batch. Each
    parity test below pins one flush trigger — per-request batches
    (max_batch = 1), the size threshold under concurrent load, and the
@@ -32,7 +32,7 @@ let fresh_ckpt () =
    batched engine with its defaults (exactly what the daemon calls). *)
 let offline model (rows : float array array) : float array array =
   let x = T.of_rows rows in
-  let y = Model.logits_batch_t model x in
+  let y = Model.eval model x in
   Array.init (T.rows y) (fun i -> T.row y i)
 
 let random_row rng = Array.init cols (fun _ -> Rng.uniform rng ~lo:(-1.5) ~hi:1.5)

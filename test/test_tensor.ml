@@ -138,46 +138,12 @@ let test_of_array_copies () =
   T.set t 1 1 (-7.);
   check_f "writes stay inside the tensor" 4. input.(3)
 
-let test_inplace_kernels_match_allocating () =
-  let m = T.of_rows [| [| 1.; -2.; 3. |]; [| 0.5; 4.; -1. |] |] in
-  let rv = T.of_row [| 2.; -0.5; 3. |] in
-  let a = T.copy m in
-  T.add_rv_inplace a rv;
-  Alcotest.(check bool) "add_rv_inplace" true (T.equal_eps ~eps:0. (T.add_rv m rv) a);
-  let b = T.copy m in
-  T.mul_rv_inplace b rv;
-  Alcotest.(check bool) "mul_rv_inplace" true (T.equal_eps ~eps:0. (T.mul_rv m rv) b)
-
 let test_matmul_into_matches_matmul () =
   let a = T.of_rows [| [| 1.; 0.; -2. |]; [| 3.; 4.; 0. |] |] in
   let b = T.of_rows [| [| 1.; 2. |]; [| -1.; 0.5 |]; [| 0.; 3. |] |] in
   let dst = T.create ~rows:2 ~cols:2 42. in
   T.matmul_into ~dst a b;
   Alcotest.(check bool) "matmul_into overwrites" true (T.equal_eps ~eps:0. (T.matmul a b) dst)
-
-let test_affine_rv_into () =
-  let s = T.of_rows [| [| 1.; 2. |]; [| -3.; 0.5 |] |] in
-  let x = T.of_rows [| [| 0.5; -1. |]; [| 2.; 4. |] |] in
-  let a = T.of_row [| 0.9; 0.8 |] and b = T.of_row [| 0.1; 0.2 |] in
-  let expected = T.add (T.mul_rv s a) (T.mul_rv x b) in
-  let dst = T.zeros ~rows:2 ~cols:2 in
-  T.affine_rv_into ~dst s a x b;
-  Alcotest.(check bool) "into fresh dst" true (T.equal_eps ~eps:0. expected dst);
-  (* dst aliasing s is the filter-state in-place update *)
-  let s' = T.copy s in
-  T.affine_rv_into ~dst:s' s' a x b;
-  Alcotest.(check bool) "dst may alias s" true (T.equal_eps ~eps:0. expected s')
-
-let test_add_mul_rv_inplace () =
-  let m = T.of_rows [| [| 1.; -2.; 3. |]; [| 0.5; 4.; -1. |] |] in
-  let add = T.of_row [| 0.25; -1.5; 2. |] in
-  let mul = T.of_row [| 2.; -0.5; 3. |] in
-  let expected = T.copy m in
-  T.add_rv_inplace expected add;
-  T.mul_rv_inplace expected mul;
-  let fused = T.copy m in
-  T.add_mul_rv_inplace fused ~add ~mul;
-  Alcotest.(check bool) "fused = add;mul" true (T.equal_eps ~eps:0. expected fused)
 
 let test_matmul_into_rejects_aliasing () =
   (* Regression: matmul_into reads its operands while writing dst, so a
@@ -246,19 +212,6 @@ module Oracle = struct
 
   let add_rv m rv = broadcast ( +. ) m rv
   let mul_rv m rv = broadcast ( *. ) m rv
-
-  let add_mul_rv m ~add ~mul =
-    broadcast ( *. ) (broadcast ( +. ) m add) mul
-
-  let affine_rv s a x b =
-    assert (s.rows = x.rows && s.cols = x.cols);
-    assert (a.rows = 1 && a.cols = s.cols && b.rows = 1 && b.cols = s.cols);
-    {
-      s with
-      d =
-        Array.init (s.rows * s.cols) (fun i ->
-            (s.d.(i) *. a.d.(i mod s.cols)) +. (x.d.(i) *. b.d.(i mod s.cols)));
-    }
 end
 
 (* Element values: mostly moderate uniforms, salted with exact and
@@ -353,53 +306,38 @@ let test_diff_kk1_fast_path () =
 let test_diff_broadcast_kernels () =
   let gen =
     Qgen.bind (Qgen.pair gen_dim gen_dim) (fun (m, n) ->
-        Qgen.triple (gen_viewed m n) (gen_mat 1 n) (gen_mat 1 n))
+        Qgen.pair (gen_viewed m n) (gen_mat 1 n))
   in
   Qgen.check ~count:60
-    ~pp:(fun (m, a, b) ->
-      Printf.sprintf "(%s, %s, %s)" (pp_t m) (pp_t a) (pp_t b))
+    ~pp:(fun (m, a) -> Printf.sprintf "(%s, %s)" (pp_t m) (pp_t a))
     ~name:"broadcast kernels = oracle" gen
-    (fun (m, rva, rvb) ->
+    (fun (m, rva) ->
       let om = Oracle.of_tensor m in
-      let oa = Oracle.of_tensor rva and ob = Oracle.of_tensor rvb in
-      let check_inplace expect kernel =
-        let w = T.copy m in
-        kernel w;
-        T.equal_eps ~eps:0. (Oracle.to_tensor expect) w
-      in
+      let oa = Oracle.of_tensor rva in
       T.equal_eps ~eps:0. (Oracle.to_tensor (Oracle.add_rv om oa)) (T.add_rv m rva)
-      && T.equal_eps ~eps:0. (Oracle.to_tensor (Oracle.mul_rv om oa)) (T.mul_rv m rva)
-      && check_inplace (Oracle.add_rv om oa) (fun w -> T.add_rv_inplace w rva)
-      && check_inplace (Oracle.mul_rv om oa) (fun w -> T.mul_rv_inplace w rva)
-      && check_inplace
-           (Oracle.add_mul_rv om ~add:oa ~mul:ob)
-           (fun w -> T.add_mul_rv_inplace w ~add:rva ~mul:rvb))
+      && T.equal_eps ~eps:0. (Oracle.to_tensor (Oracle.mul_rv om oa)) (T.mul_rv m rva))
 
-let test_diff_affine_rv_into () =
-  let gen =
-    Qgen.bind (Qgen.pair gen_dim gen_dim) (fun (m, n) ->
-        Qgen.pair
-          (Qgen.pair (gen_viewed m n) (gen_viewed m n))
-          (Qgen.pair (gen_mat 1 n) (gen_mat 1 n)))
-  in
-  Qgen.check ~count:60
-    ~pp:(fun ((s, x), (a, b)) ->
-      Printf.sprintf "(%s, %s, %s, %s)" (pp_t s) (pp_t x) (pp_t a) (pp_t b))
-    ~name:"affine_rv_into = oracle" gen
-    (fun ((s, x), (a, b)) ->
-      let expect =
-        Oracle.(
-          to_tensor
-            (affine_rv (of_tensor s) (of_tensor a) (of_tensor x) (of_tensor b)))
-      in
-      let dst = T.zeros ~rows:(T.rows s) ~cols:(T.cols s) in
-      T.affine_rv_into ~dst s a x b;
-      T.equal_eps ~eps:0. expect dst
+let test_diff_columns () =
+  (* The series-to-steps split every model forward consumes: one
+     [rows x 1] copy per column, in order, read through views. *)
+  let gen = Qgen.bind (Qgen.pair gen_dim gen_dim) (fun (m, n) -> gen_viewed m n) in
+  Qgen.check ~count:40 ~pp:pp_t ~name:"columns = oracle" gen (fun v ->
+      let o = Oracle.of_tensor v in
+      let cols = T.columns v in
+      Array.length cols = T.cols v
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun c col ->
+                T.rows col = T.rows v
+                && T.cols col = 1
+                && List.for_all
+                     (fun r -> T.get col r 0 = Oracle.get o r c)
+                     (List.init (T.rows v) Fun.id))
+              cols)
       &&
-      (* In-place form: dst aliasing s (the filter state update). *)
-      let s' = T.copy s in
-      T.affine_rv_into ~dst:s' s' a x b;
-      T.equal_eps ~eps:0. expect s')
+      (* copies: writing a step leaves the series untouched *)
+      (T.set cols.(0) 0 0 nan;
+       T.get v 0 0 = Oracle.get o 0 0))
 
 let test_diff_view_ops () =
   (* Every allocating op reading through off <> 0 must agree with the
@@ -573,10 +511,7 @@ let () =
           Alcotest.test_case "init row-major" `Quick test_init_row_major_order;
           Alcotest.test_case "scalar / of_row copy" `Quick test_scalar_and_of_row;
           Alcotest.test_case "of_array copies" `Quick test_of_array_copies;
-          Alcotest.test_case "in-place rv kernels" `Quick test_inplace_kernels_match_allocating;
           Alcotest.test_case "matmul_into" `Quick test_matmul_into_matches_matmul;
-          Alcotest.test_case "affine_rv_into" `Quick test_affine_rv_into;
-          Alcotest.test_case "add_mul_rv_inplace" `Quick test_add_mul_rv_inplace;
           Alcotest.test_case "matmul_into rejects aliasing" `Quick
             test_matmul_into_rejects_aliasing;
           Alcotest.test_case "rows_view semantics" `Quick test_rows_view_semantics;
@@ -588,7 +523,7 @@ let () =
           Alcotest.test_case "kk=1 fast path = oracle" `Quick test_diff_kk1_fast_path;
           Alcotest.test_case "broadcast kernels = oracle" `Quick
             test_diff_broadcast_kernels;
-          Alcotest.test_case "affine_rv_into = oracle" `Quick test_diff_affine_rv_into;
+          Alcotest.test_case "columns = oracle" `Quick test_diff_columns;
           Alcotest.test_case "ops on views = ops on copies" `Quick test_diff_view_ops;
           Alcotest.test_case "rows_view bounds (fuzzed)" `Quick test_diff_rows_view_bounds;
           Alcotest.test_case "blit_into overlap" `Quick test_diff_blit_overlap;
