@@ -5,8 +5,9 @@
 JOBS ?= 4
 
 # BENCH_OUT streams every bench section (plus a final metrics
-# snapshot) as JSON Lines alongside the human-readable report.
-BENCH_OUT ?= docs/bench_pr9.json
+# snapshot) as JSON Lines alongside the human-readable report. The
+# default is untracked (.gitignore); docs/bench_pr*.json are records.
+BENCH_OUT ?= bench.jsonl
 
 # BATCH, when set, is exported as ADAPT_PNC_BATCH: the block size of
 # the batched no-grad evaluation path (see docs/BATCHING.md). Results

@@ -13,6 +13,7 @@ open Cmdliner
 
 module Config = Pnc_exp.Config
 module Experiments = Pnc_exp.Experiments
+module Grid = Pnc_grid.Grid
 module Registry = Pnc_data.Registry
 module Dataset = Pnc_data.Dataset
 module Rng = Pnc_util.Rng
@@ -414,7 +415,8 @@ let stream_cmd =
   let cache_dir_arg =
     let doc =
       "Grid-cell cache directory (same files and keys as `grid run --cache-dir`): the \
-       trained model is loaded from it when present, written to it otherwise."
+       trained model is loaded from it when present, otherwise trained under the cell's \
+       claim and written to it, exactly as `grid run --shards 1` would."
     in
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
@@ -465,10 +467,16 @@ let stream_cmd =
     let batch_size = if batch > 0 then Some batch else None in
     with_obs ~metrics_out ~trace (fun () ->
         with_jobs jobs (fun pool ->
-            let sr =
-              Experiments.stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol
-                ~variant ~seed
+            let r =
+              match cache_dir with
+              | None -> Experiments.train_run ?batch_size ?pool cfg ~dataset ~variant ~seed
+              | Some dir ->
+                  (* A one-key grid: the fingerprint excludes datasets
+                     and seeds, so this is the cell `grid run` writes. *)
+                  let cell = { cfg with Config.datasets = [ dataset ]; seeds = [ seed ] } in
+                  List.hd (Grid.run ?pool ~dir cell ~variants:[ variant ])
             in
+            let sr = Experiments.stream_run ?batch_size ?pool cfg ~scenario ~protocol r in
             Experiments.print_stream ~scenario ~protocol sr))
   in
   Cmd.v
@@ -600,8 +608,6 @@ let ckpt_cmd =
    invariant, and `merge` is byte-identical however the cells got
    there. *)
 
-module Grid = Pnc_grid.Grid
-
 let cache_dir_arg =
   let doc =
     "Grid cache directory — the only coordination channel between workers. Created by \
@@ -691,19 +697,15 @@ let grid_run_cmd =
     end;
     let variants = grid_variants_of ~variants:variants_s in
     let cfg = grid_config ~scale ~precision ~datasets in
-    Grid.mkdir_p cache_dir;
     with_obs ~metrics_out ~trace (fun () ->
         if shards = 1 then begin
-          let cells = Grid.cells_of_config ~dir:cache_dir cfg ~variants in
-          let n =
-            Grid.Proto.work ~lease_ttl ~progress:(Printf.eprintf "%s\n%!") ~owner:"worker-0"
-              cells
+          let runs =
+            Grid.run ~lease_ttl ~progress:(Printf.eprintf "%s\n%!") ~dir:cache_dir cfg ~variants
           in
-          Printf.printf "grid complete: %d cells (%d computed, %d from cache)\n"
-            (List.length cells) n
-            (List.length cells - n)
+          Printf.printf "grid complete: %d cells\n" (List.length runs)
         end
         else begin
+          Grid.mkdir_p cache_dir;
           let precision_s =
             Pnc_core.Batch.precision_name cfg.Pnc_exp.Config.precision
           in

@@ -89,8 +89,7 @@ let load_split cfg ~dataset ~seed =
   let raw = Registry.load ?n:cfg.Config.dataset_n ~seed dataset in
   (Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw, raw.Dataset.n_classes)
 
-let build_model cfg ~variant ~classes ~seed =
-  ignore cfg;
+let build_model ~variant ~classes ~seed =
   let rng = Rng.create ~seed:(seed + 77) in
   match variant with
   | Reference -> Model.Reference (Elman.create rng ~inputs:1 ~classes)
@@ -104,7 +103,7 @@ let build_model cfg ~variant ~classes ~seed =
 let train_run ?batch_size ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
     cfg ~dataset ~variant ~seed =
   let split, classes = load_split cfg ~dataset ~seed in
-  let model = build_model cfg ~variant ~classes ~seed in
+  let model = build_model ~variant ~classes ~seed in
   let train_cfg =
     if uses_variation_aware variant then cfg.Config.train_va else cfg.Config.train_base
   in
@@ -193,15 +192,13 @@ let train_run ?batch_size ?pool ?checkpoint_every ?checkpoint_path ?resume_from 
 
 (* On-disk cell cache ---------------------------------------------------- *)
 
-let cache_hits_counter = Obs.Counter.make "grid.cache_hits"
 let stale_cells_counter = Obs.Counter.make "grid.stale_cells"
 
 let all_variants = Reference :: fig7_variants
 
 (* Canonical cell enumeration: dataset-major, then variant, then seed.
-   run_grid and the process-sharded orchestrator (Pnc_grid) both walk
-   this order, so merged tables never depend on which worker computed
-   a cell or when it finished. *)
+   The grid orchestrator (Pnc_grid) walks this order, so merged tables
+   never depend on which worker computed a cell or when it finished. *)
 let grid_keys cfg ~variants =
   List.concat_map
     (fun dataset ->
@@ -316,71 +313,6 @@ let load_cell ~path cfg ~dataset ~variant ~seed =
   end;
   r
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
-let run_grid ?(progress = fun _ -> ()) ?batch_size ?pool ?cache_dir cfg ~variants =
-  Obs.Span.with_ "grid" @@ fun () ->
-  Option.iter mkdir_p cache_dir;
-  List.map
-    (fun (dataset, variant, seed) ->
-      progress (Printf.sprintf "%s / %s / seed %d" dataset (variant_name variant) seed);
-      let attrs =
-        if Obs.enabled () then
-          [
-            ("dataset", Obs.Str dataset);
-            ("variant", Obs.Str (variant_name variant));
-            ("seed", Obs.Int seed);
-          ]
-        else []
-      in
-      Obs.Span.with_ ~attrs "grid.cell" @@ fun () ->
-      let cached =
-        match cache_dir with
-        | None -> None
-        | Some dir ->
-            let path = cell_path ~dir cfg ~dataset ~variant ~seed in
-            let r = load_cell ~path cfg ~dataset ~variant ~seed in
-            if r <> None then begin
-              Obs.Counter.incr cache_hits_counter;
-              if Obs.enabled () then
-                Obs.emit "grid.cell.cached"
-                  [
-                    ("path", Obs.Str path);
-                    ("dataset", Obs.Str dataset);
-                    ("variant", Obs.Str (variant_tag variant));
-                    ("seed", Obs.Int seed);
-                  ]
-            end;
-            r
-      in
-      match cached with
-      | Some r -> r
-      | None ->
-          let r = train_run ?batch_size ?pool cfg ~dataset ~variant ~seed in
-          (match cache_dir with
-          | Some dir -> save_cell ~path:(cell_path ~dir cfg ~dataset ~variant ~seed) cfg r
-          | None -> ());
-          if Obs.enabled () then
-            Obs.emit "grid.result"
-              [
-                ("dataset", Obs.Str dataset);
-                ("variant", Obs.Str (variant_name variant));
-                ("seed", Obs.Int seed);
-                ("clean_acc", Obs.Float r.clean_acc);
-                ("clean_var_acc", Obs.Float r.clean_var_acc);
-                ("aug_var_acc", Obs.Float r.aug_var_acc);
-                ("pert_var_acc", Obs.Float r.pert_var_acc);
-                ("corr_var_acc", Obs.Float r.corr_var_acc);
-                ("train_seconds", Obs.Float r.train_seconds);
-                ("epochs", Obs.Int r.epochs);
-              ];
-          r)
-    (grid_keys cfg ~variants)
-
 (* Streaming protocol ----------------------------------------------------- *)
 
 module Scenario = Pnc_stream.Scenario
@@ -400,31 +332,8 @@ let stream_fingerprint cfg ~scenario ~protocol =
   String.concat "|"
     [ Config.fingerprint cfg; Scenario.fingerprint scenario; Online.fingerprint protocol ]
 
-(* Train one grid cell, or reuse it from the same on-disk cell cache the
-   grid harness keys by Config.fingerprint — a streaming run over an
-   already-computed grid pays only the evaluation. *)
-let trained_cell ?batch_size ?pool ?cache_dir cfg ~dataset ~variant ~seed =
-  let path = Option.map (fun dir -> cell_path ~dir cfg ~dataset ~variant ~seed) cache_dir in
-  let cached =
-    match path with
-    | None -> None
-    | Some path -> load_cell ~path cfg ~dataset ~variant ~seed
-  in
-  match cached with
-  | Some r -> r
-  | None ->
-      let r = train_run ?batch_size ?pool cfg ~dataset ~variant ~seed in
-      Option.iter
-        (fun path ->
-          Option.iter mkdir_p cache_dir;
-          save_cell ~path cfg r)
-        path;
-      r
-
-let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
+let stream_run ?batch_size ?pool cfg ~scenario ~protocol (r : run) =
   Obs.Span.with_ "stream" @@ fun () ->
-  let dataset = scenario.Scenario.dataset in
-  let r = trained_cell ?batch_size ?pool ?cache_dir cfg ~dataset ~variant ~seed in
   let rz = Scenario.realize scenario in
   (* Same physical-instance policy as the offline protocols: circuits
      stream under ±eval_level component variation, the reference RNN
@@ -436,7 +345,7 @@ let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~se
     else None
   in
   let precision = cfg.Config.precision in
-  let eval_rng () = Rng.create ~seed:(seed + 6000) in
+  let eval_rng () = Rng.create ~seed:(r.seed + 6000) in
   let snap = Online.snapshot_params r.model in
   let frozen =
     Online.eval ?batch_size ~precision ?pool ?spec ~rng:(eval_rng ())
@@ -615,7 +524,7 @@ let table2 ?(progress = fun _ -> ()) cfg =
         (fun dataset ->
           progress (Printf.sprintf "timing %s on %s" (variant_name variant) dataset);
           let split, classes = load_split cfg ~dataset ~seed:0 in
-          let model = build_model cfg ~variant ~classes ~seed:0 in
+          let model = build_model ~variant ~classes ~seed:0 in
           let train_cfg =
             if uses_variation_aware variant then cfg.Config.train_va else cfg.Config.train_base
           in

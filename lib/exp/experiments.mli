@@ -83,10 +83,9 @@ val all_variants : variant list
 
 val grid_keys : Config.t -> variants:variant list -> (string * variant * int) list
 (** The (dataset, variant, seed) cells of the grid in canonical order
-    (dataset-major, then variant, then seed). {!run_grid} and the
-    process-sharded {!Pnc_grid} orchestrator share this enumeration,
-    which is why merged tables are independent of completion order and
-    worker count. *)
+    (dataset-major, then variant, then seed). The {!Pnc_grid} runner
+    and its merge walk this enumeration, which is why merged tables
+    are independent of completion order and worker count. *)
 
 val cell_path :
   dir:string -> Config.t -> dataset:string -> variant:variant -> seed:int -> string
@@ -106,24 +105,6 @@ val load_cell :
     [grid.stale_cells] counter is bumped, so interrupted cell writes
     are observable (surfaced as [stale] by [grid status]) instead of
     silently recomputed on the next full run. *)
-
-val run_grid :
-  ?progress:(string -> unit) ->
-  ?batch_size:int ->
-  ?pool:Pnc_util.Pool.t ->
-  ?cache_dir:string ->
-  Config.t ->
-  variants:variant list ->
-  run list
-(** All datasets × variants × seeds of the config.
-
-    With [cache_dir] (created if missing), every computed cell is
-    written to {!cell_path} as a ["grid-cell"] checkpoint (model
-    parameters + metrics) and subsequent runs load it back bit-identical
-    instead of retraining — emitting a [grid.cell.cached] event. A
-    missing, corrupt or stale entry (any decode error, or a fingerprint
-    / dataset / variant / seed mismatch) is silently recomputed and
-    rewritten, never trusted. *)
 
 (** {1 Streaming protocol}
 
@@ -151,21 +132,19 @@ val stream_fingerprint :
 val stream_run :
   ?batch_size:int ->
   ?pool:Pnc_util.Pool.t ->
-  ?cache_dir:string ->
   Config.t ->
   scenario:Pnc_stream.Scenario.t ->
   protocol:Pnc_stream.Online.protocol ->
-  variant:variant ->
-  seed:int ->
+  run ->
   stream_run
-(** Trains (or loads from the grid cell cache — same files, same keys
-    as {!run_grid}) the (scenario dataset, variant, seed) cell, then
-    streams the realized scenario over it: always the frozen baseline,
-    plus the adapted pass when the protocol enables adaptation. The
-    model keeps its trained weights on return. Circuits stream under
-    ±[eval_level] component variation on one replayed physical
-    instance; evaluation randomness comes from seed+6000, disjoint
-    from every training/eval stream of {!train_run}. *)
+(** Streams the realized scenario over a trained cell of the
+    scenario's dataset ({!train_run}, or a one-key [Pnc_grid.Grid.run] over
+    the cell cache): always the frozen baseline, plus the adapted pass
+    when the protocol enables adaptation. The model keeps its trained
+    weights on return. Circuits stream under ±[eval_level] component
+    variation on one replayed physical instance; evaluation randomness
+    comes from the run's seed+6000, disjoint from every training/eval
+    stream of {!train_run}. *)
 
 val print_stream :
   scenario:Pnc_stream.Scenario.t ->

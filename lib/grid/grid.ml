@@ -123,7 +123,7 @@ end
 
 (* The experiment-grid instance ------------------------------------------- *)
 
-let cells_of_config ?batch_size ~dir cfg ~variants =
+let cells_of_config ?pool ~dir cfg ~variants =
   List.map
     (fun (dataset, variant, seed) ->
       let path = E.cell_path ~dir cfg ~dataset ~variant ~seed in
@@ -133,8 +133,22 @@ let cells_of_config ?batch_size ~dir cfg ~variants =
         is_valid = (fun () -> E.load_cell ~path cfg ~dataset ~variant ~seed <> None);
         compute =
           (fun () ->
-            let r = E.train_run ?batch_size cfg ~dataset ~variant ~seed in
-            E.save_cell ~path cfg r);
+            let r = E.train_run ?pool cfg ~dataset ~variant ~seed in
+            E.save_cell ~path cfg r;
+            if Obs.enabled () then
+              Obs.emit "grid.result"
+                [
+                  ("dataset", Obs.Str dataset);
+                  ("variant", Obs.Str (E.variant_name variant));
+                  ("seed", Obs.Int seed);
+                  ("clean_acc", Obs.Float r.E.clean_acc);
+                  ("clean_var_acc", Obs.Float r.E.clean_var_acc);
+                  ("aug_var_acc", Obs.Float r.E.aug_var_acc);
+                  ("pert_var_acc", Obs.Float r.E.pert_var_acc);
+                  ("corr_var_acc", Obs.Float r.E.corr_var_acc);
+                  ("train_seconds", Obs.Float r.E.train_seconds);
+                  ("epochs", Obs.Int r.E.epochs);
+                ]);
       })
     (E.grid_keys cfg ~variants)
 
@@ -332,3 +346,13 @@ let print_merged cfg ~variants runs =
   if has E.Base then E.print_fig5 (E.fig5_of_grid cfg runs);
   if List.for_all has E.fig7_variants then E.print_fig7 (E.fig7_of_grid cfg runs);
   if has E.Base && has E.Full then E.print_table3 (E.table3_of_grid cfg runs)
+
+(* In-process run ------------------------------------------------------------ *)
+
+let run ?lease_ttl ?pool ?progress ~dir cfg ~variants =
+  mkdir_p dir;
+  ignore
+    (Proto.work ?lease_ttl ?progress ~owner:"worker-0" (cells_of_config ?pool ~dir cfg ~variants));
+  match merge ~dir cfg ~variants with
+  | Ok runs -> runs
+  | Error ids -> failwith ("grid: cells invalid after computing them: " ^ String.concat ", " ids)

@@ -34,7 +34,7 @@ module Experiments := Pnc_exp.Experiments
     just a target path plus [is_valid]/[compute] callbacks. The
     fault-injection battery ([test/test_grid.ml]) drives it with cheap
     synthetic cells; the experiment grid instantiates it via
-    {!cells_of_config}. *)
+    {!cells_of_config} and {!run}. *)
 
 module Proto : sig
   type cell = {
@@ -81,7 +81,7 @@ end
 (** {1 The experiment grid instance} *)
 
 val cells_of_config :
-  ?batch_size:int ->
+  ?pool:Pnc_util.Pool.t ->
   dir:string ->
   Config.t ->
   variants:Experiments.variant list ->
@@ -89,7 +89,9 @@ val cells_of_config :
 (** One {!Proto.cell} per {!Pnc_exp.Experiments.grid_keys} entry:
     [is_valid] is a full {!Pnc_exp.Experiments.load_cell} (CRC +
     fingerprint + identity), [compute] is
-    {!Pnc_exp.Experiments.train_run} + {!Pnc_exp.Experiments.save_cell}. *)
+    {!Pnc_exp.Experiments.train_run} (with [pool] for its Monte-Carlo
+    evaluation) + {!Pnc_exp.Experiments.save_cell}, then a
+    [grid.result] event. *)
 
 val variants_of_string : string -> Experiments.variant list
 (** ["all"] (the six-variant grid), ["table1"] or ["fig7"].
@@ -181,3 +183,24 @@ val print_merged : Config.t -> variants:Experiments.variant list -> Experiments.
     timestamps, so it is byte-identical across shard counts,
     completion orders and crash/resume histories — enforced by
     [test/test_grid.ml] and the CI grid job. *)
+
+(** {1 In-process run} *)
+
+val run :
+  ?lease_ttl:float ->
+  ?pool:Pnc_util.Pool.t ->
+  ?progress:(string -> unit) ->
+  dir:string ->
+  Config.t ->
+  variants:Experiments.variant list ->
+  Experiments.run list
+(** The one way to get a grid's runs: create [dir] if missing, run
+    {!Proto.work} (owner ["worker-0"]) over {!cells_of_config} until
+    every cell is valid, then return {!merge}'s runs in
+    {!Experiments.grid_keys} order. Cached cells are loaded, missing,
+    corrupt or stale ones are trained under their claim, so
+    [grid run --shards 1], the bench, [stream --cache-dir] and a
+    sibling [grid worker] can share one directory. A cache hit shows
+    only as a cell that did not bump [grid.worker.computed].
+    @raise Failure if a cell is invalid again right after [work]
+    (something outside the protocol corrupted the directory). *)

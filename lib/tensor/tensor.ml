@@ -151,7 +151,7 @@ let add_inplace acc x =
     A.unsafe_set ad (ao + i) (A.unsafe_get ad (ao + i) +. A.unsafe_get xd (xo + i))
   done
 
-let broadcast_rv f m rv =
+let add_rv m rv =
   assert (rv.rows = 1 && rv.cols = m.cols);
   let cols = m.cols in
   let data = alloc (m.rows * cols) in
@@ -160,14 +160,11 @@ let broadcast_rv f m rv =
     let moff = m.off + (r * cols) in
     for c = 0 to cols - 1 do
       A.unsafe_set data !k
-        (f (A.unsafe_get m.data (moff + c)) (A.unsafe_get rv.data (rv.off + c)));
+        (A.unsafe_get m.data (moff + c) +. A.unsafe_get rv.data (rv.off + c));
       incr k
     done
   done;
   { rows = m.rows; cols; off = 0; data }
-
-let add_rv m rv = broadcast_rv ( +. ) m rv
-let mul_rv m rv = broadcast_rv ( *. ) m rv
 
 (* Cache-blocking tile sizes for [matmul_into]. The k-tiles are visited
    in ascending order, so every output element still accumulates its
@@ -251,24 +248,6 @@ let sum_rows t =
     done
   done;
   out
-
-let sum_cols t =
-  let out = zeros ~rows:t.rows ~cols:1 in
-  for r = 0 to t.rows - 1 do
-    let acc = ref 0. in
-    for c = 0 to t.cols - 1 do
-      acc := !acc +. get t r c
-    done;
-    A.unsafe_set out.data r !acc
-  done;
-  out
-
-let max_abs t =
-  let m = ref 0. in
-  for i = 0 to numel t - 1 do
-    m := Float.max !m (Float.abs (A.unsafe_get t.data (t.off + i)))
-  done;
-  !m
 
 let uniform rng ~rows ~cols ~lo ~hi =
   init ~rows ~cols (fun _ _ -> Pnc_util.Rng.uniform rng ~lo ~hi)

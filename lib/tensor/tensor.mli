@@ -90,14 +90,11 @@ val fill : t -> float -> unit
 val add_inplace : t -> t -> unit
 (** [add_inplace acc x] accumulates [x] into [acc]; equal shapes. *)
 
-(** {1 Broadcast over rows}
-
-    The second operand is a [1 x n] row vector combined with every row
-    of an [m x n] matrix — used for biases and per-feature
-    coefficients. *)
+(** {1 Broadcast over rows} *)
 
 val add_rv : t -> t -> t
-val mul_rv : t -> t -> t
+(** [add_rv m rv] adds the [1 x n] row vector [rv] to every row of the
+    [m x n] matrix [m] — the bias add. *)
 
 (** {1 Linear algebra} *)
 
@@ -121,11 +118,6 @@ val sum : t -> float
 val mean : t -> float
 val sum_rows : t -> t
 (** [m x n -> 1 x n]: column sums. *)
-
-val sum_cols : t -> t
-(** [m x n -> m x 1]: row sums. *)
-
-val max_abs : t -> float
 
 (** {1 Construction helpers} *)
 

@@ -15,7 +15,15 @@
    library ones, so a test opts in by aliasing them, e.g.
    [module Crossbar = Layer_oracle.Crossbar]. *)
 
-module T = Pnc_tensor.Tensor
+module T = struct
+  include Pnc_tensor.Tensor
+
+  (* [m x n] times [1 x n], row by row: the tensor kernel of the
+     row-vector products below. *)
+  let mul_rv m rv =
+    assert (rows rv = 1 && cols rv = cols m);
+    init ~rows:(rows m) ~cols:(cols m) (fun r c -> get m r c *. get rv 0 c)
+end
 
 module Var = struct
   include Pnc_autodiff.Var

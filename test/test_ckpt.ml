@@ -35,6 +35,7 @@ module Json = Pnc_obs.Obs.Json
 module Ckpt = Pnc_ckpt.Ckpt
 module Config = Pnc_exp.Config
 module E = Pnc_exp.Experiments
+module Grid = Pnc_grid.Grid
 
 let env_pool_size =
   match Sys.getenv_opt "POOL_SIZE" with
@@ -468,21 +469,24 @@ let check_same_run msg (a : E.run) (b : E.run) =
 let with_env_pool f =
   if env_pool_size <= 1 then f None else Pool.with_pool ~size:env_pool_size (fun p -> f (Some p))
 
+let computed () = counter_value "grid.worker.computed"
+
 let test_grid_cache_warm_equals_cold () =
   with_env_pool @@ fun pool ->
   let cfg = grid_cfg () in
   let dir = path "grid-cache" in
   let variants = [ E.Base; E.Full ] in
-  let cold = E.run_grid ?pool ~cache_dir:dir cfg ~variants in
-  let hits_before = counter_value "grid.cache_hits" in
-  let warm = E.run_grid ?pool ~cache_dir:dir cfg ~variants in
-  Alcotest.(check int) "every warm cell came from the cache"
-    (List.length cold)
-    (counter_value "grid.cache_hits" - hits_before);
+  let cold = Grid.run ?pool ~dir cfg ~variants in
+  let before = computed () in
+  let warm = Grid.run ?pool ~dir cfg ~variants in
+  Alcotest.(check int) "every warm cell came from the cache" 0 (computed () - before);
   List.iter2 (check_same_run "warm=cold") cold warm;
   (* an uncached run must agree too (the cache changes nothing) *)
-  let direct = E.run_grid ?pool cfg ~variants in
-  List.iter2 (check_same_run "direct=cached") cold direct
+  List.iter
+    (fun (c : E.run) ->
+      check_same_run "direct=cached" c
+        (E.train_run ?pool cfg ~dataset:c.E.dataset ~variant:c.E.variant ~seed:c.E.seed))
+    cold
 
 let test_grid_cache_corrupt_recomputed () =
   with_env_pool @@ fun pool ->
@@ -492,20 +496,18 @@ let test_grid_cache_corrupt_recomputed () =
   Alcotest.(check bool) "cold run wrote the cell" true (Sys.file_exists cell);
   let good = read_file cell in
   write_file cell (flip good (String.length good / 3) 0x10);
-  let hits_before = counter_value "grid.cache_hits" in
-  let runs = E.run_grid ?pool ~cache_dir:dir cfg ~variants:[ E.Base ] in
-  Alcotest.(check int) "corrupt cell not trusted" hits_before
-    (counter_value "grid.cache_hits");
-  Alcotest.(check int) "recomputed" 1 (List.length runs);
+  let before = computed () in
+  let runs = Grid.run ?pool ~dir cfg ~variants:[ E.Base ] in
+  Alcotest.(check int) "corrupt cell not trusted: recomputed once" 1 (computed () - before);
+  Alcotest.(check int) "one run" 1 (List.length runs);
   (* The rewritten cell is valid again and warm-loads to the same run
      (bytes may differ: the cached wall-clock timing is not
      deterministic, everything the artifacts read is). *)
   (match Ckpt.load ~path:cell with
   | Ok ck -> Alcotest.(check string) "cell kind" "grid-cell" ck.Ckpt.kind
   | Error e -> Alcotest.failf "rewritten cell unreadable: %s" (Ckpt.error_to_string e));
-  let warm = E.run_grid ?pool ~cache_dir:dir cfg ~variants:[ E.Base ] in
-  Alcotest.(check int) "rewritten cell warm-loads" (hits_before + 1)
-    (counter_value "grid.cache_hits");
+  let warm = Grid.run ?pool ~dir cfg ~variants:[ E.Base ] in
+  Alcotest.(check int) "rewritten cell warm-loads" (before + 1) (computed ());
   List.iter2 (check_same_run "recomputed=warm") runs warm;
   (* stale fingerprint: any cell-affecting knob change misses the cache *)
   let cfg' = { cfg with Config.eval_draws = cfg.Config.eval_draws + 1 } in

@@ -158,6 +158,39 @@ let test_grid_status_half_done () =
   Alcotest.(check int) "merge on a half-done grid exits 3" 3 m.code;
   Alcotest.(check bool) "lists missing cells" true (contains ~needle:"2 cells missing" m.stderr)
 
+(* `stream --cache-dir` takes its model from the grid's own cell: over
+   a directory `grid run` already filled, it trains and writes nothing
+   and prints what a plain, uncached `stream` prints. *)
+let test_stream_reuses_grid_cell () =
+  let dir = fresh_dir () in
+  let r =
+    run_cli
+      [
+        "grid"; "run"; "--shards"; "1"; "--cache-dir"; dir; "--scale"; "smoke"; "-d"; "GPOVY";
+        "--variants"; "table1";
+      ]
+  in
+  Alcotest.(check int) "grid run exits 0" 0 r.code;
+  let cells () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun e -> String.starts_with ~prefix:"cell-" e)
+    |> List.sort compare
+  in
+  let before = cells () in
+  Alcotest.(check int) "table1 x GPOVY is three cells" 3 (List.length before);
+  let stream = [ "stream"; "-d"; "GPOVY"; "-m"; "adapt"; "--scale"; "smoke" ] in
+  let metrics = Filename.concat dir "stream.jsonl" in
+  let cached = run_cli (stream @ [ "--cache-dir"; dir; "--metrics-out"; metrics ]) in
+  Alcotest.(check int) "cached stream exits 0" 0 cached.code;
+  Alcotest.(check (list string)) "no new cell file" before (cells ());
+  Alcotest.(check bool) "trained nothing" false
+    (contains ~needle:{|"event":"train.done"|} (slurp metrics));
+  let plain = run_cli stream in
+  Alcotest.(check int) "plain stream exits 0" 0 plain.code;
+  Alcotest.(check string) "same output as an uncached stream" plain.stdout cached.stdout;
+  Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let () =
   Random.self_init ();
   Alcotest.run "cli"
@@ -176,5 +209,7 @@ let () =
           Alcotest.test_case "bad --variants exits 2" `Quick test_grid_bad_variant_set;
           Alcotest.test_case "half-done grid: status counts, merge exits 3" `Quick
             test_grid_status_half_done;
+          Alcotest.test_case "stream --cache-dir reuses the grid's cell" `Quick
+            test_stream_reuses_grid_cell;
         ] );
     ]

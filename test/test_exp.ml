@@ -55,7 +55,8 @@ let test_train_run_record () =
 let test_grid_and_artifacts () =
   let cfg = smoke_cfg () in
   let variants = E.Reference :: E.fig7_variants in
-  let grid = E.run_grid cfg ~variants in
+  let dir = Filename.temp_dir "pnc_exp_grid" "" in
+  let grid = Pnc_grid.Grid.run ~dir cfg ~variants in
   Alcotest.(check int) "grid size = datasets*variants*seeds"
     (List.length cfg.Config.datasets * List.length variants * List.length cfg.Config.seeds)
     (List.length grid);
@@ -82,7 +83,9 @@ let test_grid_and_artifacts () =
   Alcotest.(check bool) "fig5 cells in range" true
     (f5.E.f5_clean.E.mean >= 0. && f5.E.f5_pert_var.E.mean <= 1.);
   let f7 = E.fig7_of_grid cfg grid in
-  Alcotest.(check int) "fig7 bars" 5 (List.length f7)
+  Alcotest.(check int) "fig7 bars" 5 (List.length f7);
+  Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+  Sys.rmdir dir
 
 (* Printing paths: fabricate a grid (no training) and render every
    artifact; formatting must not raise on any input shape. *)

@@ -21,6 +21,9 @@ let gpovy_split () =
 
 let smoke = Train.smoke_config
 
+(* Largest absolute element: the bound the assertions below check. *)
+let max_abs t = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. (T.to_row_array t)
+
 let test_adapt_learns_separable () =
   let split = gpovy_split () in
   let rng = Rng.create ~seed:5 in
@@ -109,7 +112,7 @@ let test_printable_invariants_after_training () =
   List.iter
     (fun (cb, fl, _) ->
       let theta = Pnc_core.Crossbar.theta_values cb in
-      Alcotest.(check bool) "theta clamped" true (T.max_abs theta <= 1. +. 1e-9);
+      Alcotest.(check bool) "theta clamped" true (max_abs theta <= 1. +. 1e-9);
       Array.iter
         (fun stage ->
           Array.iter
